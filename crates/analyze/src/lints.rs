@@ -129,7 +129,7 @@ pub const LINTS: &[LintInfo] = &[
     },
     LintInfo {
         id: "deterministic-collections",
-        summary: "no raw std HashMap/HashSet in src trees — use seeded FastMap/FastSet or BTreeMap",
+        summary: "no raw std HashMap/HashSet in src trees — use seeded FastMap or BTreeMap",
         rationale: "RandomState seeds and hash-order iteration vary run to run; one stray \
                     hash-order loop in a merge path silently breaks bit-identity",
     },
@@ -588,7 +588,7 @@ fn lint_deterministic_collections(cx: &FileCx, out: &mut Vec<Finding>) {
                     i,
                     "deterministic-collections",
                     format!(
-                        "raw std `{name}` — use the seeded FastMap/FastSet \
+                        "raw std `{name}` — use the seeded FastMap \
                          (crates/sim/src/fasthash.rs) or a BTree collection"
                     ),
                 ));

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use grtx_bvh::builder::{build_wide_bvh, BuilderConfig};
 use grtx_math::intersect::ray_triangle;
-use grtx_math::simd::{ray_triangle_4, slab_test_8, slab_test_8x4, SoaAabbs, Tri4};
+use grtx_math::simd::{ray_triangle_4, slab_test_8, SoaAabbs, Tri4};
 use grtx_math::{Aabb, Vec3};
 
 /// Median ns/iter over `samples` samples of `iters` iterations each.
@@ -91,14 +91,6 @@ fn main() {
     let slab_arr: [Aabb; 8] = boxes.try_into().unwrap();
     let inv = slab_ray.inv();
 
-    let packet_rays = grtx_bench::kernel_packet_rays();
-    let packet_invs = [
-        packet_rays[0].inv(),
-        packet_rays[1].inv(),
-        packet_rays[2].inv(),
-        packet_rays[3].inv(),
-    ];
-
     let tris = grtx_bench::kernel_triangles();
     let packet = Tri4::from_triangles(&tris);
     let tri_ray = grtx_bench::kernel_tri_ray();
@@ -130,21 +122,6 @@ fn main() {
         slab_test_8(black_box(&inv), black_box(&soa))
             .mask
             .count_ones()
-    });
-    // Packet baseline: four independent single-ray kernel calls vs one
-    // transposed call — the cache-miss work of a RayPacket4 node test.
-    let packet_single = time_ns(samples, iters, || {
-        let mut hits = 0u32;
-        for r in black_box(&packet_invs) {
-            hits += slab_test_8(r, black_box(&soa)).mask.count_ones();
-        }
-        hits
-    });
-    let packet_transposed = time_ns(samples, iters, || {
-        slab_test_8x4(black_box(&packet_invs), black_box(&soa))
-            .iter()
-            .map(|m| m.mask.count_ones())
-            .sum::<u32>()
     });
     let tri_scalar = time_ns(samples, iters, || {
         let mut hits = 0u32;
@@ -194,7 +171,6 @@ fn main() {
     let mut rows = Vec::new();
     for (name, scalar, simd) in [
         ("slab8", slab_scalar, slab_simd),
-        ("packet4", packet_single, packet_transposed),
         ("triangle4", tri_scalar, tri_simd),
         ("node_visit", visit_scalar, visit_simd),
     ] {

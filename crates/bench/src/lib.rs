@@ -128,20 +128,6 @@ pub fn kernel_slab_ray() -> grtx_math::Ray {
     )
 }
 
-/// Four coherent rays (a primary-ray pixel quad) for the transposed
-/// packet kernel bench: same origin, directions fanned a few milliradians
-/// apart, exactly the shape `Camera::rays` tiles produce.
-pub fn kernel_packet_rays() -> [grtx_math::Ray; 4] {
-    use grtx_math::{Ray, Vec3};
-    let origin = Vec3::new(-3.0, 0.4, -2.0);
-    [
-        Ray::new(origin, Vec3::new(1.0, 0.1, 0.6).normalized()),
-        Ray::new(origin, Vec3::new(1.0, 0.104, 0.6).normalized()),
-        Ray::new(origin, Vec3::new(1.0, 0.1, 0.604).normalized()),
-        Ray::new(origin, Vec3::new(1.0, 0.104, 0.604).normalized()),
-    ]
-}
-
 /// Four leaf triangles — the batched-triangle fixture shared by the
 /// kernel bench and the baseline dump.
 pub fn kernel_triangles() -> Vec<[grtx_math::Vec3; 3]> {

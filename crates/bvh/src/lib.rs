@@ -19,8 +19,6 @@
 //! * [`builder`] — a binned-SAH builder producing up-to-8-wide BVHs,
 //!   mirroring Embree-style wide-BVH configurations (the collapse width
 //!   is configurable down to the BVH-6 baseline for comparisons);
-//! * [`packet`] — coherent 4-ray packets amortizing world-space
-//!   wide-node box tests through a shared, bit-identical result cache;
 //! * [`layout`] — byte-level layout of nodes/primitives in a virtual
 //!   address space, for BVH size accounting (Table II) and for the cache
 //!   model of `grtx-sim`;
@@ -32,7 +30,6 @@
 pub mod builder;
 pub mod layout;
 pub mod monolithic;
-pub mod packet;
 pub mod reference;
 pub mod traversal;
 pub mod two_level;
@@ -44,10 +41,9 @@ pub use builder::{
 };
 pub use layout::{format_bytes, AddressSpace, BvhSizeReport, LayoutConfig};
 pub use monolithic::MonolithicBvh;
-pub use packet::{PacketCacheStats, PacketLane, RayPacket4};
 pub use traversal::{
-    trace_round, trace_round_packet, AnyHitVerdict, CheckpointEntry, CheckpointSink, FetchKind,
-    NullObserver, PrimTestKind, RoundOutcome, Slot, TraversalObserver, CHECKPOINT_ENTRY_BYTES,
+    trace_round, AnyHitVerdict, CheckpointEntry, CheckpointSink, FetchKind, NullObserver,
+    PrimTestKind, RoundOutcome, Slot, TraversalObserver, CHECKPOINT_ENTRY_BYTES,
 };
 pub use two_level::TwoLevelBvh;
 pub use wide::{ChildKind, WideBvh, WideChild, WideNode};

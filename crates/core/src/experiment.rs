@@ -463,11 +463,18 @@ impl SceneSetup {
         self.camera.orbit(views, 0.0)
     }
 
-    /// Validates the inputs a run of `(options, cameras)` would consume:
-    /// the GPU shape, every camera, and the scene (non-finite Gaussian
-    /// parameters would otherwise corrupt bounds silently).
-    fn validate_run(&self, options: &RunOptions, cameras: &[Camera]) -> Result<(), GrtxError> {
+    /// Validates the inputs a run of `(variant, options, cameras)` would
+    /// consume: the GPU shape, the render configuration, every camera,
+    /// and the scene (non-finite Gaussian parameters would otherwise
+    /// corrupt bounds silently).
+    fn validate_run(
+        &self,
+        variant: &PipelineVariant,
+        options: &RunOptions,
+        cameras: &[Camera],
+    ) -> Result<(), GrtxError> {
         grtx_render::validate_gpu(&options.gpu)?;
+        grtx_render::validate_render(&Self::render_config(variant, options))?;
         for camera in cameras {
             grtx_render::validate_camera(camera)?;
         }
@@ -483,7 +490,7 @@ impl SceneSetup {
         variant: &PipelineVariant,
         options: &RunOptions,
     ) -> Result<ExperimentResult, GrtxError> {
-        self.validate_run(options, std::slice::from_ref(&self.camera))?;
+        self.validate_run(variant, options, std::slice::from_ref(&self.camera))?;
         Ok(self.run(variant, options))
     }
 
@@ -496,7 +503,7 @@ impl SceneSetup {
         options: &RunOptions,
         cameras: &[Camera],
     ) -> Result<Vec<ExperimentResult>, GrtxError> {
-        self.validate_run(options, cameras)?;
+        self.validate_run(variant, options, cameras)?;
         Ok(self.run_batch(variant, options, cameras))
     }
 

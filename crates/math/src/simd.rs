@@ -4,10 +4,9 @@
 //! parallel ray–box tests (Embree-style wide BVH, Section V-A). This
 //! module provides the software analogue: an 8-wide slab test over a
 //! structure-of-arrays child layout ([`SoaAabbs`]) — one AVX2 register
-//! per lane array, every lane a real child — plus a 4-ray packet
-//! variant ([`slab_test_8x4`]) that amortizes the node's box loads
-//! across four coherent rays, and a 4-wide batched Möller–Trumbore
-//! triangle test ([`ray_triangle_4`]) for BVH leaf ranges.
+//! per lane array, every lane a real child — and a 4-wide batched
+//! Möller–Trumbore triangle test ([`ray_triangle_4`]) for BVH leaf
+//! ranges.
 //!
 //! # Determinism contract
 //!
@@ -262,54 +261,6 @@ pub fn slab_test_8_portable(ray: &RayInv, boxes: &SoaAabbs) -> HitMask8 {
 }
 
 // ---------------------------------------------------------------------------
-// Ray packets.
-
-/// One node's eight child slabs tested against **four coherent rays**
-/// in a single call — the ray-axis transpose of [`slab_test_8`].
-///
-/// Packet `r` of the result is bitwise identical to
-/// `slab_test_8(&rays[r], boxes)` on every input, so packet traversal
-/// can substitute per-ray kernel calls without perturbing any
-/// traversal decision. The win is bandwidth amortization: the explicit
-/// AVX2 path loads the node's six lane arrays **once** and reuses the
-/// registers for all four rays, instead of reloading them per ray.
-#[inline]
-pub fn slab_test_8x4(rays: &[RayInv; 4], boxes: &SoaAabbs) -> [HitMask8; 4] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::runtime_features_available() {
-            // SAFETY: the required features were just detected.
-            return unsafe { x86::slab_test_8x4_avx2(rays, boxes) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON is a mandatory feature of aarch64. The 8-wide kernel
-        // already keeps the node in registers across its two halves;
-        // per-ray broadcast is the whole transpose here.
-        return [
-            neon::slab_test_8_neon(&rays[0], boxes),
-            neon::slab_test_8_neon(&rays[1], boxes),
-            neon::slab_test_8_neon(&rays[2], boxes),
-            neon::slab_test_8_neon(&rays[3], boxes),
-        ];
-    }
-    #[allow(unreachable_code)]
-    slab_test_8x4_portable(rays, boxes)
-}
-
-/// Portable packet kernel: the 8-wide portable slab test broadcast over
-/// the four rays. Reference the explicit path must match bitwise.
-pub fn slab_test_8x4_portable(rays: &[RayInv; 4], boxes: &SoaAabbs) -> [HitMask8; 4] {
-    [
-        slab_test_8_portable(&rays[0], boxes),
-        slab_test_8_portable(&rays[1], boxes),
-        slab_test_8_portable(&rays[2], boxes),
-        slab_test_8_portable(&rays[3], boxes),
-    ]
-}
-
-// ---------------------------------------------------------------------------
 // Batched triangles.
 
 /// Up to 4 triangles in structure-of-arrays layout for
@@ -553,42 +504,7 @@ mod x86 {
         }
     }
 
-    /// One node's six lane arrays held in registers, so the packet
-    /// kernel loads them once and reuses them for all four rays.
-    #[derive(Clone, Copy)]
-    struct NodeRegs {
-        min_x: __m256,
-        min_y: __m256,
-        min_z: __m256,
-        max_x: __m256,
-        max_y: __m256,
-        max_z: __m256,
-    }
-
-    /// Loads one node's lane arrays.
-    ///
-    /// # Safety
-    ///
-    /// Callers must ensure the `avx2` target feature is available.
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_node(boxes: &SoaAabbs) -> NodeRegs {
-        // SAFETY: `SoaAabbs` is `#[repr(C, align(32))]` and each lane
-        // array is `[f32; 8]` = 32 bytes, so every load is in-bounds
-        // and 32-byte aligned as `_mm256_load_ps` requires; the avx2
-        // requirement is met by this fn's own `target_feature`.
-        unsafe {
-            NodeRegs {
-                min_x: _mm256_load_ps(boxes.min_x.as_ptr()),
-                min_y: _mm256_load_ps(boxes.min_y.as_ptr()),
-                min_z: _mm256_load_ps(boxes.min_z.as_ptr()),
-                max_x: _mm256_load_ps(boxes.max_x.as_ptr()),
-                max_y: _mm256_load_ps(boxes.max_y.as_ptr()),
-                max_z: _mm256_load_ps(boxes.max_z.as_ptr()),
-            }
-        }
-    }
-
-    /// Slab test of one ray against preloaded node registers. Same
+    /// AVX2 slab kernel: all 8 lanes in one 8-wide register. Same
     /// operation order as the portable kernel.
     ///
     /// # Safety
@@ -597,13 +513,22 @@ mod x86 {
     /// `fma`) target features are available.
     #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
     #[cfg_attr(feature = "fma", target_feature(enable = "avx2,fma"))]
-    unsafe fn slab_ray(ray: &RayInv, node: &NodeRegs, lane_mask: u8) -> HitMask8 {
-        // SAFETY: everything here is register-only value math except
-        // the two `_mm256_storeu_ps` stores, which write 8 f32s into
-        // the freshly declared `[f32; LANES]` stack arrays (in-bounds;
-        // unaligned stores have no alignment requirement). The feature
-        // preconditions are this fn's own contract.
+    pub unsafe fn slab_test_8_avx2(ray: &RayInv, boxes: &SoaAabbs) -> HitMask8 {
+        // SAFETY: `SoaAabbs` is `#[repr(C, align(32))]` and each lane
+        // array is `[f32; 8]` = 32 bytes, so every `_mm256_load_ps` is
+        // in-bounds and 32-byte aligned as it requires. The two
+        // `_mm256_storeu_ps` stores write 8 f32s into the freshly
+        // declared `[f32; LANES]` stack arrays (in-bounds; unaligned
+        // stores have no alignment requirement). Everything else is
+        // register-only value math. The feature preconditions are this
+        // fn's own contract.
         unsafe {
+            let min_x = _mm256_load_ps(boxes.min_x.as_ptr());
+            let min_y = _mm256_load_ps(boxes.min_y.as_ptr());
+            let min_z = _mm256_load_ps(boxes.min_z.as_ptr());
+            let max_x = _mm256_load_ps(boxes.max_x.as_ptr());
+            let max_y = _mm256_load_ps(boxes.max_y.as_ptr());
+            let max_z = _mm256_load_ps(boxes.max_z.as_ptr());
             let ox = _mm256_set1_ps(ray.origin.x);
             let oy = _mm256_set1_ps(ray.origin.y);
             let oz = _mm256_set1_ps(ray.origin.z);
@@ -612,12 +537,12 @@ mod x86 {
             let iz = _mm256_set1_ps(ray.inv_direction.z);
             #[cfg(not(feature = "fma"))]
             let (t0x, t1x, t0y, t1y, t0z, t1z) = (
-                _mm256_mul_ps(_mm256_sub_ps(node.min_x, ox), ix),
-                _mm256_mul_ps(_mm256_sub_ps(node.max_x, ox), ix),
-                _mm256_mul_ps(_mm256_sub_ps(node.min_y, oy), iy),
-                _mm256_mul_ps(_mm256_sub_ps(node.max_y, oy), iy),
-                _mm256_mul_ps(_mm256_sub_ps(node.min_z, oz), iz),
-                _mm256_mul_ps(_mm256_sub_ps(node.max_z, oz), iz),
+                _mm256_mul_ps(_mm256_sub_ps(min_x, ox), ix),
+                _mm256_mul_ps(_mm256_sub_ps(max_x, ox), ix),
+                _mm256_mul_ps(_mm256_sub_ps(min_y, oy), iy),
+                _mm256_mul_ps(_mm256_sub_ps(max_y, oy), iy),
+                _mm256_mul_ps(_mm256_sub_ps(min_z, oz), iz),
+                _mm256_mul_ps(_mm256_sub_ps(max_z, oz), iz),
             );
             // Contracted form mirroring the portable `fma` path:
             // fmsub(slab, i, o*i) == fma(slab, i, -(o*i)) exactly (the
@@ -630,12 +555,12 @@ mod x86 {
                     _mm256_mul_ps(oz, iz),
                 );
                 (
-                    _mm256_fmsub_ps(node.min_x, ix, px),
-                    _mm256_fmsub_ps(node.max_x, ix, px),
-                    _mm256_fmsub_ps(node.min_y, iy, py),
-                    _mm256_fmsub_ps(node.max_y, iy, py),
-                    _mm256_fmsub_ps(node.min_z, iz, pz),
-                    _mm256_fmsub_ps(node.max_z, iz, pz),
+                    _mm256_fmsub_ps(min_x, ix, px),
+                    _mm256_fmsub_ps(max_x, ix, px),
+                    _mm256_fmsub_ps(min_y, iy, py),
+                    _mm256_fmsub_ps(max_y, iy, py),
+                    _mm256_fmsub_ps(min_z, iz, pz),
+                    _mm256_fmsub_ps(max_z, iz, pz),
                 )
             };
             let near_x = min_num(t0x, t1x);
@@ -659,55 +584,8 @@ mod x86 {
             HitMask8 {
                 t_enter,
                 t_exit,
-                mask: (_mm256_movemask_ps(hit) as u8) & lane_mask,
+                mask: (_mm256_movemask_ps(hit) as u8) & boxes.lane_mask(),
             }
-        }
-    }
-
-    /// AVX2 slab kernel: all 8 lanes in one 8-wide register.
-    ///
-    /// # Safety
-    ///
-    /// Callers must ensure the `avx2` (and, under the `fma` feature,
-    /// `fma`) target features are available.
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2,fma"))]
-    pub unsafe fn slab_test_8_avx2(ray: &RayInv, boxes: &SoaAabbs) -> HitMask8 {
-        // SAFETY: this fn's contract passes the avx2/fma guarantee
-        // straight through to `load_node` and `slab_ray`, whose only
-        // other preconditions (aligned `SoaAabbs` loads, stack stores)
-        // are discharged at their own sites.
-        unsafe {
-            let node = load_node(boxes);
-            slab_ray(ray, &node, boxes.lane_mask())
-        }
-    }
-
-    /// AVX2 packet kernel: the node's lane arrays are loaded once and
-    /// tested against four rays, each via the same [`slab_ray`] body the
-    /// single-ray kernel uses — packet `r` is bitwise identical to
-    /// `slab_test_8_avx2(&rays[r], boxes)` by construction.
-    ///
-    /// # Safety
-    ///
-    /// Callers must ensure the `avx2` (and, under the `fma` feature,
-    /// `fma`) target features are available.
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2,fma"))]
-    pub unsafe fn slab_test_8x4_avx2(rays: &[RayInv; 4], boxes: &SoaAabbs) -> [HitMask8; 4] {
-        // SAFETY: this fn's contract passes the avx2/fma guarantee
-        // straight through to `load_node` and `slab_ray`, whose only
-        // other preconditions (aligned `SoaAabbs` loads, stack stores)
-        // are discharged at their own sites.
-        unsafe {
-            let node = load_node(boxes);
-            let lane_mask = boxes.lane_mask();
-            [
-                slab_ray(&rays[0], &node, lane_mask),
-                slab_ray(&rays[1], &node, lane_mask),
-                slab_ray(&rays[2], &node, lane_mask),
-                slab_ray(&rays[3], &node, lane_mask),
-            ]
         }
     }
 
@@ -1005,6 +883,7 @@ mod tests {
 
     /// Masked-out lanes hold garbage (possibly NaN), so path-equality
     /// checks compare masks plus live-lane bits, not whole structs.
+    #[cfg(not(feature = "fma"))]
     fn assert_slab_paths_equal(a: &HitMask8, b: &HitMask8) {
         assert_eq!(a.mask, b.mask, "hit masks diverge");
         for i in 0..LANES {
@@ -1108,34 +987,6 @@ mod tests {
             0,
             "empty node hits nothing"
         );
-    }
-
-    #[test]
-    fn packet_rays_match_single_ray_kernel_bitwise() {
-        // The packet kernel must be a pure transpose: packet lane `r`
-        // bitwise-equals a single-ray kernel call. This holds on every
-        // path, including `fma` builds (both sides contract identically).
-        let boxes = boxes8();
-        let soa = SoaAabbs::from_aabbs(&boxes);
-        let rays: [Ray; 4] = [
-            Ray::new(
-                Vec3::new(-4.0, 0.1, 0.05),
-                Vec3::new(1.0, 0.02, 0.01).normalized(),
-            ),
-            Ray::new(
-                Vec3::new(-4.0, 0.3, -0.05),
-                Vec3::new(1.0, 0.01, -0.02).normalized(),
-            ),
-            Ray::new(Vec3::new(2.0, 8.0, 0.0), Vec3::new(0.0, -1.0, 0.0)),
-            Ray::new(Vec3::new(30.0, 0.0, 0.0), Vec3::X),
-        ];
-        let invs = [rays[0].inv(), rays[1].inv(), rays[2].inv(), rays[3].inv()];
-        let packet = slab_test_8x4(&invs, &soa);
-        let portable = slab_test_8x4_portable(&invs, &soa);
-        for r in 0..4 {
-            assert_slab_paths_equal(&packet[r], &slab_test_8(&invs[r], &soa));
-            assert_slab_paths_equal(&portable[r], &slab_test_8_portable(&invs[r], &soa));
-        }
     }
 
     #[cfg(feature = "fma")]

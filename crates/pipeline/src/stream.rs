@@ -308,7 +308,8 @@ pub fn run_stream(
 }
 
 /// Fallible [`run_stream`]: validates the configuration up front
-/// (returning [`GrtxError::InvalidConfig`] for degenerate GPU shapes)
+/// (returning [`GrtxError::InvalidConfig`] for degenerate GPU shapes or
+/// a zero-capacity k-buffer)
 /// and, under a quarantining [`RetryPolicy`], yields per-frame
 /// [`FrameOutcome`]s — failed frames surface in order as
 /// [`FrameOutcome::Failed`] while later frames keep rendering.
@@ -330,6 +331,7 @@ pub fn try_run_stream(
     config: &StreamConfig,
 ) -> Result<Vec<FrameOutcome>, GrtxError> {
     grtx_render::validate_gpu(&config.gpu)?;
+    grtx_render::validate_render(&config.render)?;
     if frames == 0 {
         return Ok(Vec::new());
     }

@@ -54,7 +54,7 @@ use crate::blend::BlendState;
 use crate::image::Image;
 use crate::renderer::{shader_cycles, RenderConfig, RenderReport, SecondaryBreakdown};
 use crate::tracer::{RayTracer, TraceParams};
-use grtx_bvh::{AccelStruct, PacketCacheStats, RayPacket4};
+use grtx_bvh::AccelStruct;
 use grtx_fault::GrtxError;
 use grtx_math::Ray;
 use grtx_prof::{FragmentProfile, FragmentRecorder, Profiler};
@@ -62,9 +62,7 @@ use grtx_scene::{Camera, EffectObjects, GaussianScene};
 use grtx_sim::fasthash::FastMap;
 use grtx_sim::{GpuConfig, GpuSim, RayTraceState, WarpSchedule};
 use grtx_telemetry::Telemetry;
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// One traced job: pixel index, ray, scene cut-off.
 struct Job {
@@ -142,15 +140,10 @@ pub struct SmOutcome {
     warp_times: Vec<(usize, (u64, u64))>,
     /// `(launch-local job index, final blend state)` for this SM's rays.
     blends: Vec<(usize, BlendState)>,
-    /// Packet node-test cache counters for this fragment's warps. Kept
-    /// out of [`grtx_sim::SimStats`] on purpose: packets must leave the
-    /// simulated statistics bit-identical, so their observability rides
-    /// on the side and reaches the user only through telemetry counters.
-    packet_stats: PacketCacheStats,
     /// The fragment's microarchitecture profile, recorded only when the
-    /// engine's [`Profiler`] is enabled. Rides on the side exactly like
-    /// `packet_stats` — never into `SimStats`/`RenderReport` — and is
-    /// drained into the profiler sink at merge time.
+    /// engine's [`Profiler`] is enabled. Rides on the side — never into
+    /// `SimStats`/`RenderReport` — and is drained into the profiler sink
+    /// at merge time.
     profile: Option<FragmentProfile>,
 }
 
@@ -189,7 +182,7 @@ impl RenderEngine {
     }
 
     /// Attaches a telemetry handle: render workers record per-fragment
-    /// spans and the merge publishes packet-cache counters. The default
+    /// spans and the merge records one span per camera. The default
     /// (disabled) handle records nothing and costs one branch per event.
     /// Telemetry never changes images, cycles, or statistics.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
@@ -299,7 +292,7 @@ impl RenderEngine {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Self::render_batch`]: rejects zero-SM / zero-lane GPU
+    /// Fallible [`Self::render_batch`]: rejects degenerate GPU and render
     /// configurations ([`GrtxError::InvalidConfig`]), zero-resolution or
     /// non-finite cameras ([`GrtxError::InvalidCamera`]), and scenes
     /// carrying non-finite Gaussians ([`GrtxError::InvalidScene`])
@@ -314,6 +307,7 @@ impl RenderEngine {
         config: &RenderConfig,
     ) -> Result<Vec<RenderReport>, GrtxError> {
         validate_gpu(&self.gpu)?;
+        validate_render(config)?;
         for camera in cameras {
             validate_camera(camera)?;
         }
@@ -451,7 +445,6 @@ impl RenderEngine {
                         config,
                         &schedule,
                         mine,
-                        &self.telemetry,
                         &self.profiler,
                         base_key + cam as u64,
                     )
@@ -563,7 +556,6 @@ impl RenderEngine {
             config,
             &schedule,
             outcomes,
-            &self.telemetry,
             &self.profiler,
             key,
         )
@@ -596,26 +588,17 @@ impl RenderEngine {
         // Secondary warps continue the round-robin where the primary
         // warps left off. The two phases run back-to-back, preserving the
         // seed renderer's ordering (all primaries retire before any
-        // secondary starts). Only primary rays are coherent row-major
-        // fans, so only the primary phase packetizes.
-        let phases: [(&[Job], usize, usize, usize, bool); 2] = [
-            (
-                &launch.primary_jobs,
-                launch.primary_warps,
-                0,
-                0,
-                config.ray_packets,
-            ),
+        // secondary starts).
+        let phases: [(&[Job], usize, usize, usize); 2] = [
+            (&launch.primary_jobs, launch.primary_warps, 0, 0),
             (
                 &launch.secondary_jobs,
                 launch.secondary_warps,
                 launch.primary_warps,
                 launch.primary_jobs.len(),
-                false,
             ),
         ];
-        let mut packet_stats = PacketCacheStats::default();
-        for (jobs, warp_count, warp_base, job_base, packets) in phases {
+        for (jobs, warp_count, warp_base, job_base) in phases {
             let my_warps: Vec<usize> = (0..warp_count)
                 .filter(|w| schedule.sm_of_launch_warp(warp_base + w) == sm)
                 .collect();
@@ -630,8 +613,6 @@ impl RenderEngine {
                 config,
                 &my_warps,
                 warp_size,
-                packets,
-                &mut packet_stats,
                 profile.as_mut(),
                 |warp, times| warp_times.push((warp_base + warp, times)),
                 |job, blend| blends.push((job_base + job, blend)),
@@ -642,7 +623,6 @@ impl RenderEngine {
             sim,
             warp_times,
             blends,
-            packet_stats,
             profile,
         }
     }
@@ -651,14 +631,12 @@ impl RenderEngine {
 /// Merges one camera's fragment outcomes in the order given (callers
 /// pass SM order): warp times land at their launch-local indices, blend
 /// states at their jobs, and the per-SM simulators absorb in sequence.
-#[allow(clippy::too_many_arguments)]
 fn merge_camera(
     launch: &CameraLaunch,
     camera: &Camera,
     config: &RenderConfig,
     schedule: &WarpSchedule,
     outcomes: impl IntoIterator<Item = SmOutcome>,
-    telemetry: &Telemetry,
     profiler: &Profiler,
     key: u64,
 ) -> RenderReport {
@@ -666,7 +644,6 @@ fn merge_camera(
     let mut primary_blends = vec![BlendState::new(); launch.primary_jobs.len()];
     let mut secondary_blends = vec![BlendState::new(); launch.secondary_jobs.len()];
     let mut agg: Option<GpuSim> = None;
-    let mut packet_totals = PacketCacheStats::default();
     for mut outcome in outcomes {
         // Fragment profiles detach before the sims fold together: the
         // sink receives per-(launch, SM) snapshots and re-sorts every
@@ -675,7 +652,6 @@ fn merge_camera(
         if let Some(profile) = outcome.profile.take() {
             profiler.submit(key, profile);
         }
-        packet_totals.absorb(&outcome.packet_stats);
         for (warp, times) in &outcome.warp_times {
             warps[*warp] = *times;
         }
@@ -692,13 +668,6 @@ fn merge_camera(
         }
     }
     let sim = agg.expect("at least one SM fragment");
-    // Counter sums are order-independent, so these values are
-    // deterministic for a deterministic workload at any thread count.
-    if packet_totals.kernel_calls + packet_totals.cache_hits > 0 {
-        telemetry.counter_add("packet.kernel_calls", packet_totals.kernel_calls);
-        telemetry.counter_add("packet.cache_hits", packet_totals.cache_hits);
-        telemetry.counter_add("packet.evictions", packet_totals.evictions);
-    }
     compose_report(
         launch,
         camera,
@@ -784,9 +753,6 @@ struct WarpExec<'a> {
     compute: u64,
     stall: u64,
     index: usize,
-    /// The packets attached to this warp's tracers (empty when packets
-    /// are off); drained for cache counters when the warp retires.
-    packets: Vec<Rc<RefCell<RayPacket4>>>,
 }
 
 impl WarpExec<'_> {
@@ -812,8 +778,6 @@ fn run_warp_queue<'a>(
     config: &RenderConfig,
     warps: &[usize],
     warp_size: usize,
-    packets: bool,
-    packet_stats: &mut PacketCacheStats,
     mut profile: Option<&mut FragmentRecorder>,
     mut on_warp_done: impl FnMut(usize, (u64, u64)),
     mut on_blend: impl FnMut(usize, BlendState),
@@ -822,10 +786,13 @@ fn run_warp_queue<'a>(
     let buffer_depth = sim.config.warp_buffer_size.max(1);
     let mut pending: VecDeque<usize> = warps.iter().copied().collect();
     let mut resident: Vec<WarpExec<'a>> = Vec::new();
+    // Retired warps hand their per-ray fetch logs back here, so admitted
+    // warps reuse the allocations instead of regrowing them.
+    let mut spare_states: Vec<Vec<RayTraceState>> = Vec::new();
 
-    let make_exec = |w: usize| -> WarpExec<'a> {
+    let make_exec = |w: usize, mut states: Vec<RayTraceState>| -> WarpExec<'a> {
         let chunk = &jobs[w * warp_size..((w + 1) * warp_size).min(jobs.len())];
-        let mut tracers: Vec<RayTracer<'a>> = chunk
+        let tracers: Vec<RayTracer<'a>> = chunk
             .iter()
             .map(|job| {
                 let params = TraceParams {
@@ -835,33 +802,14 @@ fn run_warp_queue<'a>(
                 RayTracer::new(accel, scene, job.ray, params)
             })
             .collect();
-        let mut packet_handles = Vec::new();
-        if packets {
-            // A warp's jobs are consecutive row-major pixels, so quads
-            // of four adjacent tracers form coherent packets sharing
-            // wide-node box tests. A warp advances its lanes on one
-            // thread, so the shared `Rc<RefCell<_>>` never crosses
-            // threads. Partial trailing quads stay single-ray.
-            for (q, quad) in chunk.chunks_exact(4).enumerate() {
-                let packet = Rc::new(RefCell::new(RayPacket4::new([
-                    &quad[0].ray,
-                    &quad[1].ray,
-                    &quad[2].ray,
-                    &quad[3].ray,
-                ])));
-                for lane in 0..4 {
-                    tracers[q * 4 + lane].attach_packet(packet.clone(), lane);
-                }
-                packet_handles.push(packet);
-            }
-        }
+        states.iter_mut().for_each(RayTraceState::clear);
+        states.resize_with(chunk.len(), RayTraceState::new);
         WarpExec {
             tracers,
-            states: chunk.iter().map(|_| RayTraceState::new()).collect(),
+            states,
             compute: 0,
             stall: 0,
             index: w,
-            packets: packet_handles,
         }
     };
 
@@ -876,7 +824,7 @@ fn run_warp_queue<'a>(
             if let Some(rec) = profile.as_deref_mut() {
                 rec.admit(w);
             }
-            resident.push(make_exec(w));
+            resident.push(make_exec(w, spare_states.pop().unwrap_or_default()));
         }
         if resident.is_empty() {
             break;
@@ -935,9 +883,9 @@ fn run_warp_queue<'a>(
         }
         // Retire finished warps (back to front to keep indices valid).
         for &slot in finished.iter().rev() {
-            let warp = resident.swap_remove(slot);
-            for packet in &warp.packets {
-                packet_stats.absorb(&packet.borrow().cache_stats());
+            let mut warp = resident.swap_remove(slot);
+            for state in &mut warp.states {
+                sim.retire_ray(state);
             }
             if let Some(rec) = profile.as_deref_mut() {
                 rec.retire(warp.index);
@@ -948,25 +896,60 @@ fn run_warp_queue<'a>(
                 on_blend(base + i, *tracer.blend_state());
             }
             sim.stats.rays += warp.tracers.len() as u64;
+            spare_states.push(warp.states);
         }
     }
 }
 
 /// Rejects GPU configurations no hardware could execute: zero SMs,
-/// zero-size warps, zero SIMT lanes, or an empty warp buffer.
+/// zero-size warps, zero SIMT lanes, an empty warp buffer, cache lines
+/// that are not a power of two, caches smaller than one line or with no
+/// ways, and a clock that is not a positive finite frequency.
 pub fn validate_gpu(gpu: &GpuConfig) -> Result<(), GrtxError> {
+    let invalid = |reason: String| Err(GrtxError::InvalidConfig { reason });
     let checks = [
         (gpu.num_sms, "num_sms"),
         (gpu.warp_size, "warp_size"),
         (gpu.simt_lanes, "simt_lanes"),
         (gpu.warp_buffer_size, "warp_buffer_size"),
+        (gpu.l1_ways, "l1_ways"),
+        (gpu.l2_ways, "l2_ways"),
     ];
     for (value, name) in checks {
         if value == 0 {
-            return Err(GrtxError::InvalidConfig {
-                reason: format!("{name} must be >= 1, got 0"),
-            });
+            return invalid(format!("{name} must be >= 1, got 0"));
         }
+    }
+    if !gpu.line_bytes.is_power_of_two() {
+        return invalid(format!(
+            "line_bytes must be a power of two, got {}",
+            gpu.line_bytes
+        ));
+    }
+    for (bytes, name) in [(gpu.l1_bytes, "l1_bytes"), (gpu.l2_bytes, "l2_bytes")] {
+        if bytes < gpu.line_bytes {
+            return invalid(format!(
+                "{name} must hold at least one {}-byte line, got {bytes}",
+                gpu.line_bytes
+            ));
+        }
+    }
+    if !(gpu.clock_mhz.is_finite() && gpu.clock_mhz > 0.0) {
+        return invalid(format!(
+            "clock_mhz must be finite and positive, got {}",
+            gpu.clock_mhz
+        ));
+    }
+    Ok(())
+}
+
+/// Rejects render configurations the tracer cannot run: a zero-capacity
+/// k-buffer.
+pub fn validate_render(config: &RenderConfig) -> Result<(), GrtxError> {
+    if config.params.k == 0 {
+        return Err(GrtxError::InvalidConfig {
+            reason: "k must be >= 1, got 0".to_string(),
+        });
     }
     Ok(())
 }

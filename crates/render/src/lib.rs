@@ -34,7 +34,9 @@ pub mod renderer;
 pub mod tracer;
 
 pub use blend::{BlendState, MIN_BLEND_ALPHA};
-pub use engine::{validate_camera, validate_gpu, CameraLaunch, RenderEngine, SmOutcome};
+pub use engine::{
+    validate_camera, validate_gpu, validate_render, CameraLaunch, RenderEngine, SmOutcome,
+};
 pub use image::Image;
 pub use kbuffer::{InsertOutcome, KBuffer};
 pub use raster::{render_rasterized, try_render_rasterized, RasterConfig, RasterReport};

@@ -32,12 +32,6 @@ pub struct RenderConfig {
     /// Charge blending cycles (disabled to isolate traversal+sorting,
     /// Fig. 4b).
     pub charge_blending: bool,
-    /// Trace coherent primary rays as 4-ray packets sharing wide-node
-    /// box tests ([`grtx_bvh::RayPacket4`]). Bit-identical to the
-    /// single-ray path — images, cycles, and all statistics are
-    /// unchanged; only host-side kernel work is amortized. Secondary
-    /// (reflection/refraction) rays are never packetized.
-    pub ray_packets: bool,
     /// Background color composited through remaining transmittance.
     pub background: Vec3,
 }
@@ -48,7 +42,6 @@ impl Default for RenderConfig {
             params: TraceParams::default(),
             charge_sorting: true,
             charge_blending: true,
-            ray_packets: true,
             background: Vec3::ZERO,
         }
     }
@@ -130,37 +123,19 @@ pub(crate) fn shader_cycles(report: &RoundReport, costs: &CostModel, config: &Re
 
 /// Functional (cost-free) render used by tests and examples: same
 /// pipeline, no simulation.
-///
-/// Honors [`RenderConfig::ray_packets`]: quads of four consecutive
-/// primary rays (row-major, the same tiling raygen launches use) share
-/// one [`grtx_bvh::RayPacket4`]. The image is bit-identical either way.
 pub fn render_functional(
     accel: &AccelStruct,
     scene: &GaussianScene,
     camera: &Camera,
     config: &RenderConfig,
 ) -> Image {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     // Background-filled canvas: fisheye cameras skip pixels outside the
     // image circle, and those must show the background, not black.
     let mut image = Image::filled(camera.width, camera.height, config.background);
-    let jobs: Vec<(usize, grtx_math::Ray)> = camera.rays().collect();
-    for quad in jobs.chunks(4) {
-        let packet = (config.ray_packets && quad.len() == 4).then(|| {
-            Rc::new(RefCell::new(grtx_bvh::RayPacket4::new([
-                &quad[0].1, &quad[1].1, &quad[2].1, &quad[3].1,
-            ])))
-        });
-        for (lane, &(pixel, ray)) in quad.iter().enumerate() {
-            let mut tracer = RayTracer::new(accel, scene, ray, config.params);
-            if let Some(packet) = &packet {
-                tracer.attach_packet(packet.clone(), lane);
-            }
-            let blend = tracer.run_to_completion(&mut grtx_bvh::NullObserver);
-            image.set_pixel(pixel, blend.over_background(config.background));
-        }
+    for (pixel, ray) in camera.rays() {
+        let mut tracer = RayTracer::new(accel, scene, ray, config.params);
+        let blend = tracer.run_to_completion(&mut grtx_bvh::NullObserver);
+        image.set_pixel(pixel, blend.over_background(config.background));
     }
     image
 }

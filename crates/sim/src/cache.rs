@@ -1,102 +1,29 @@
 //! Set-associative LRU cache model.
 
-use crate::fasthash::FastMap;
-
-const NIL: u16 = u16::MAX;
-
-/// One cache set with exact LRU maintained as an intrusive doubly-linked
-/// list over slot indices — all operations are O(1), which matters at
-/// the hundreds of millions of simulated accesses per render.
-#[derive(Debug, Clone, Default)]
-struct CacheSet {
-    /// line -> slot index.
-    map: FastMap<u64, u16>,
-    /// slot -> line address.
-    lines: Vec<u64>,
-    prev: Vec<u16>,
-    next: Vec<u16>,
-    /// Most-recently-used slot.
-    head: u16,
-    /// Least-recently-used slot.
-    tail: u16,
-}
-
-impl CacheSet {
-    fn new() -> Self {
-        Self {
-            map: FastMap::default(),
-            lines: Vec::new(),
-            prev: Vec::new(),
-            next: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    fn unlink(&mut self, slot: u16) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
-        if p != NIL {
-            self.next[p as usize] = n;
-        } else {
-            self.head = n;
-        }
-        if n != NIL {
-            self.prev[n as usize] = p;
-        } else {
-            self.tail = p;
-        }
-    }
-
-    fn push_front(&mut self, slot: u16) {
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-
-    /// Touch a resident line; returns `true` on hit.
-    fn touch(&mut self, line: u64) -> bool {
-        let Some(&slot) = self.map.get(&line) else {
-            return false;
-        };
-        if self.head != slot {
-            self.unlink(slot);
-            self.push_front(slot);
-        }
-        true
-    }
-
-    /// Install `line` as MRU, evicting the LRU when at `ways` capacity.
-    fn insert(&mut self, line: u64, ways: usize) {
-        if self.lines.len() < ways {
-            let slot = self.lines.len() as u16;
-            self.lines.push(line);
-            self.prev.push(NIL);
-            self.next.push(NIL);
-            self.map.insert(line, slot);
-            self.push_front(slot);
-            return;
-        }
-        let victim = self.tail;
-        debug_assert_ne!(victim, NIL, "full set must have a tail");
-        self.unlink(victim);
-        let old_line = self.lines[victim as usize];
-        self.map.remove(&old_line);
-        self.lines[victim as usize] = line;
-        self.map.insert(line, victim);
-        self.push_front(victim);
-    }
-}
+use crate::lines::LineSet;
 
 /// A set-associative cache with exact LRU replacement.
+///
+/// Every set is a `ways`-long ring in one flat tag array, read in
+/// most-recently-used-first order from the set's head slot. A bitmap over
+/// line numbers holds exactly the resident lines, so a miss is settled
+/// without a scan: the head steps back one slot (onto the LRU line in a
+/// full set, which is evicted) and the new line is stored there. A hit
+/// walks the ring from the head to the line, shifting the lines it passes
+/// one place toward the LRU end. No ages, links or hash maps are kept —
+/// at the tens of millions of simulated accesses per render, most of
+/// them misses, this beats any indexed structure.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<CacheSet>,
+    /// `sets × ways` line addresses; set `s` owns
+    /// `tags[s * ways..(s + 1) * ways]`.
+    tags: Vec<u64>,
+    /// Per set, the slot of the MRU line.
+    head: Vec<u32>,
+    /// Per set, the resident line count (the valid ring prefix).
+    fill: Vec<u32>,
+    /// Exactly the lines held in `tags`.
+    resident: LineSet,
     set_mask: u64,
     line_shift: u32,
     ways: usize,
@@ -132,7 +59,10 @@ impl Cache {
         };
         let num_sets = num_sets.max(1);
         Self {
-            sets: vec![CacheSet::new(); num_sets],
+            tags: vec![0; num_sets * ways],
+            head: vec![0; num_sets],
+            fill: vec![0; num_sets],
+            resident: LineSet::default(),
             set_mask: num_sets as u64 - 1,
             line_shift: line_bytes.trailing_zeros(),
             ways,
@@ -146,41 +76,61 @@ impl Cache {
         addr >> self.line_shift
     }
 
+    /// Makes `line` its set's MRU entry, installing it (and evicting the
+    /// LRU line of a full set) if absent. Returns `true` if it was
+    /// already resident.
+    fn touch(&mut self, line: u64) -> bool {
+        let set = (line & self.set_mask) as usize;
+        let ways = self.ways;
+        let head = self.head[set] as usize;
+        if self.resident.contains(line) {
+            let slots = &mut self.tags[set * ways..(set + 1) * ways];
+            // Walk from the MRU slot, moving each line one place toward
+            // the LRU end, until the hit line's old slot is overwritten.
+            let mut carried = line;
+            let mut slot = head;
+            loop {
+                let here = std::mem::replace(&mut slots[slot], carried);
+                if here == line {
+                    return true;
+                }
+                carried = here;
+                slot = if slot + 1 == ways { 0 } else { slot + 1 };
+            }
+        }
+        // The slot before the head is free in a partial set and holds
+        // the LRU line in a full one.
+        let new_head = if head == 0 { ways - 1 } else { head - 1 };
+        if self.fill[set] as usize == ways {
+            self.resident.remove(self.tags[set * ways + new_head]);
+        } else {
+            self.fill[set] += 1;
+        }
+        self.tags[set * ways + new_head] = line;
+        self.head[set] = new_head as u32;
+        self.resident.insert(line);
+        false
+    }
+
     /// Looks up one byte address; returns `true` on hit. Misses install
     /// the line (evicting LRU if needed).
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        let line = self.line_of(addr);
-        let ways = self.ways;
-        let set = &mut self.sets[(line & self.set_mask) as usize];
-        if set.touch(line) {
-            self.hits += 1;
-            return true;
-        }
-        set.insert(line, ways);
-        false
+        let hit = self.touch(self.line_of(addr));
+        self.hits += hit as u64;
+        hit
     }
 
     /// Installs a line without counting an access or charging latency
     /// (prefetch). Returns `true` if the line was newly installed.
     pub fn install(&mut self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let ways = self.ways;
-        let set = &mut self.sets[(line & self.set_mask) as usize];
-        if set.touch(line) {
-            return false;
-        }
-        set.insert(line, ways);
-        true
+        !self.touch(self.line_of(addr))
     }
 
     /// `true` if the address's line is currently resident (no state
     /// change).
     pub fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        self.sets[(line & self.set_mask) as usize]
-            .map
-            .contains_key(&line)
+        self.resident.contains(self.line_of(addr))
     }
 
     /// Hit rate over all accesses so far (0 when never accessed).
@@ -249,7 +199,7 @@ mod tests {
     fn table1_l1_geometry() {
         // 128 KB / 128 B lines / 256-way = 1024 lines in 4 sets.
         let c = Cache::new(128 * 1024, 128, 256);
-        assert_eq!(c.sets.len(), 4);
+        assert_eq!(c.fill.len(), 4);
         assert_eq!(c.ways, 256);
     }
 
@@ -293,5 +243,75 @@ mod tests {
         assert!(c.contains(2 * 128));
         assert!(c.contains(3 * 128));
         assert!(c.contains(4 * 128));
+    }
+
+    /// Naive exact LRU: one `Vec` per set, MRU first, searched and
+    /// reordered with plain `Vec` operations.
+    struct ReferenceLru {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+    }
+
+    impl ReferenceLru {
+        fn touch(&mut self, line: u64) -> bool {
+            let n = self.sets.len() as u64;
+            let set = &mut self.sets[(line % n) as usize];
+            let hit = match set.iter().position(|&l| l == line) {
+                Some(pos) => {
+                    set.remove(pos);
+                    true
+                }
+                None => {
+                    if set.len() == self.ways {
+                        set.pop();
+                    }
+                    false
+                }
+            };
+            set.insert(0, line);
+            hit
+        }
+
+        fn contains(&self, line: u64) -> bool {
+            let n = self.sets.len() as u64;
+            self.sets[(line % n) as usize].contains(&line)
+        }
+    }
+
+    #[test]
+    fn matches_reference_lru_on_random_streams() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // (capacity, ways, expected sets): the L1 at cache-scale divisor
+        // 40, one SM's L2 slice at divisor 40, and Table I's L1.
+        let geometries = [(3276, 256, 1), (13107, 16, 4), (128 * 1024, 256, 4)];
+        for (capacity, ways, sets) in geometries {
+            let mut cache = Cache::new(capacity, 128, ways);
+            assert_eq!(cache.fill.len(), sets);
+            let mut reference = ReferenceLru {
+                sets: vec![Vec::new(); sets],
+                ways: cache.ways,
+            };
+            // A working set a few times the capacity mixes hits, cold
+            // misses and evictions.
+            let span = 3 * (capacity / 128) as u64;
+            let mut rng = SmallRng::seed_from_u64(capacity as u64);
+            for step in 0..40_000 {
+                let line: u64 = rng.gen_range(0..span);
+                let addr = line * 128 + rng.gen_range(0..128u64);
+                if rng.gen_range(0..4u32) == 0 {
+                    let newly = cache.install(addr);
+                    assert_eq!(newly, !reference.touch(line), "install at step {step}");
+                } else {
+                    let hit = cache.access(addr);
+                    assert_eq!(hit, reference.touch(line), "access at step {step}");
+                }
+                let probe: u64 = rng.gen_range(0..span);
+                assert_eq!(
+                    cache.contains(probe * 128),
+                    reference.contains(probe),
+                    "contains at step {step}"
+                );
+            }
+        }
     }
 }

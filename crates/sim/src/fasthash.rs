@@ -1,14 +1,14 @@
-//! A fast non-cryptographic hasher for the simulator's hot paths.
+//! A fixed-seed, fast non-cryptographic hash map for integer keys.
 //!
-//! The cache model and per-ray visited sets perform hundreds of millions
-//! of lookups per simulated render; SipHash (std's default) dominates
-//! wall time there. Addresses are already well-distributed, so an
-//! Fx-style multiplicative hash is sufficient.
+//! Std's default SipHash is randomly seeded per process and slow on
+//! integer keys. [`FastMap`] uses an Fx-style multiplicative hash with a
+//! fixed seed instead, so hashing is identical on every run. (The cache
+//! model and per-ray visit tracking use flat arrays and need no hashing.)
 
 // grtx-allow(deterministic-collections): this module IS the sanctioned
 // wrapper — the raw std types are re-exported below under a fixed-seed
 // BuildHasherDefault, so hashing is identical on every run.
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative hasher for integer keys (FxHash-style).
@@ -44,9 +44,6 @@ impl Hasher for FxHasher {
 /// `HashMap` keyed by integers with the fast hasher.
 // grtx-allow(deterministic-collections): the deterministic alias itself.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` of integers with the fast hasher.
-// grtx-allow(deterministic-collections): the deterministic alias itself.
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -73,7 +70,8 @@ mod tests {
             h.finish()
         };
         // Sequential line addresses must not collide.
-        let hashes: FastSet<u64> = (0..10_000u64).map(|i| hash(i * 128)).collect();
+        let hashes: std::collections::BTreeSet<u64> =
+            (0..10_000u64).map(|i| hash(i * 128)).collect();
         assert_eq!(hashes.len(), 10_000);
     }
 }

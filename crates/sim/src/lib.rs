@@ -19,8 +19,9 @@
 //! * [`observer`] — a [`grtx_bvh::TraversalObserver`] implementation
 //!   that charges cycles and memory latency for every traversal event
 //!   (node fetch, box/primitive test, ray transform, checkpoint
-//!   read/write) and tracks per-ray visited-node sets for the Fig. 7
-//!   unique-vs-total analysis;
+//!   read/write) and logs each ray's fetches, deduplicated when the ray
+//!   retires ([`GpuSim::retire_ray`]), for the Fig. 7 unique-vs-total
+//!   analysis;
 //! * [`stats`] — the counter set every experiment reads: node fetches,
 //!   unique visits, L1 hit rate, L2 accesses, average fetch latency,
 //!   checkpoint/eviction buffer occupancy, and cycle totals;
@@ -38,6 +39,7 @@
 pub mod cache;
 pub mod config;
 pub mod fasthash;
+mod lines;
 pub mod mem;
 pub mod observer;
 pub mod schedule;

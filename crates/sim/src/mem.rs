@@ -2,7 +2,7 @@
 
 use crate::cache::Cache;
 use crate::config::GpuConfig;
-use crate::fasthash::FastSet;
+use crate::lines::LineSet;
 
 /// Classification of memory traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,13 +21,14 @@ pub struct MemorySystem {
     l1: Vec<Cache>,
     l2: Cache,
     line_bytes: u64,
+    line_shift: u32,
     l1_latency: u64,
     l2_latency: u64,
     dram_latency: u64,
     sibling_prefetch: bool,
-    /// Unique structure lines ever touched (the "BVH memory footprint"
-    /// row of Table II).
-    touched_lines: FastSet<u64>,
+    /// Structure lines ever touched (the "BVH memory footprint" row of
+    /// Table II).
+    touched_lines: LineSet,
     /// L2 accesses attributable to structure fetches (Fig. 17).
     pub l2_structure_accesses: u64,
     /// L2 hits for structure fetches.
@@ -51,11 +52,12 @@ impl MemorySystem {
                 .collect(),
             l2: Cache::new(config.l2_bytes, config.line_bytes, config.l2_ways),
             line_bytes: config.line_bytes as u64,
+            line_shift: config.line_bytes.trailing_zeros(),
             l1_latency: config.l1_latency,
             l2_latency: config.l2_latency,
             dram_latency: config.dram_latency,
             sibling_prefetch: config.sibling_prefetch,
-            touched_lines: FastSet::default(),
+            touched_lines: LineSet::default(),
             l2_structure_accesses: 0,
             l2_structure_hits: 0,
             dram_structure_accesses: 0,
@@ -73,20 +75,20 @@ impl MemorySystem {
     ///
     /// Panics if `sm` is out of range.
     pub fn access(&mut self, sm: usize, addr: u64, bytes: u64, class: AccessClass) -> u64 {
-        let first_line = addr / self.line_bytes;
-        let last_line = (addr + bytes.max(1) - 1) / self.line_bytes;
+        let first_line = addr >> self.line_shift;
+        let last_line = (addr + bytes.max(1) - 1) >> self.line_shift;
         let mut worst = 0u64;
         for line in first_line..=last_line {
-            let line_addr = line * self.line_bytes;
-            let latency = self.access_line(sm, line_addr, class);
+            let latency = self.access_line(sm, line, class);
             worst = worst.max(latency);
         }
         worst
     }
 
-    fn access_line(&mut self, sm: usize, line_addr: u64, class: AccessClass) -> u64 {
+    fn access_line(&mut self, sm: usize, line: u64, class: AccessClass) -> u64 {
+        let line_addr = line << self.line_shift;
         if class == AccessClass::Structure {
-            self.touched_lines.insert(line_addr / self.line_bytes);
+            self.touched_lines.insert(line);
             self.l1_structure_accesses += 1;
         }
         if self.l1[sm].access(line_addr) {
@@ -119,10 +121,10 @@ impl MemorySystem {
         if !self.sibling_prefetch {
             return;
         }
-        let first_line = addr / self.line_bytes;
-        let last_line = (addr + bytes.max(1) - 1) / self.line_bytes;
+        let first_line = addr >> self.line_shift;
+        let last_line = (addr + bytes.max(1) - 1) >> self.line_shift;
         for line in first_line..=last_line {
-            let line_addr = line * self.line_bytes;
+            let line_addr = line << self.line_shift;
             if self.l1[sm].install(line_addr) {
                 self.prefetch_installs += 1;
             }
@@ -149,6 +151,7 @@ impl MemorySystem {
             l1: _,
             l2: _,
             line_bytes,
+            line_shift: _,
             l1_latency: _,
             l2_latency: _,
             dram_latency: _,
@@ -162,9 +165,7 @@ impl MemorySystem {
             prefetch_installs,
         } = other;
         assert_eq!(self.line_bytes, *line_bytes, "mismatched cache line size");
-        for &line in touched_lines {
-            self.touched_lines.insert(line);
-        }
+        self.touched_lines.union_with(touched_lines);
         self.l2_structure_accesses += l2_structure_accesses;
         self.l2_structure_hits += l2_structure_hits;
         self.dram_structure_accesses += dram_structure_accesses;
@@ -184,7 +185,7 @@ impl MemorySystem {
 
     /// Unique structure bytes touched (Table II memory footprint).
     pub fn footprint_bytes(&self) -> u64 {
-        self.touched_lines.len() as u64 * self.line_bytes
+        self.touched_lines.count() * self.line_bytes
     }
 }
 
@@ -272,5 +273,28 @@ mod tests {
         m.access(0, 0x10, 8, AccessClass::Structure); // same line
         m.access(1, 0x80, 8, AccessClass::Structure); // next line
         assert_eq!(m.footprint_bytes(), 256);
+    }
+
+    #[test]
+    fn absorbed_shards_count_shared_lines_once() {
+        let cfg = tiny_config();
+        let mut a = MemorySystem::new(&cfg);
+        let mut b = MemorySystem::new(&cfg);
+        // Line 0 and line 100 are touched by both shards; line 1 only by
+        // `a`, line 9000 (past `a`'s bitmap) only by `b`.
+        for addr in [0x0, 0x80, 100 * 128] {
+            a.access(0, addr, 8, AccessClass::Structure);
+        }
+        for addr in [0x10, 100 * 128 + 64, 9000 * 128] {
+            b.access(0, addr, 8, AccessClass::Structure);
+        }
+        assert_eq!(a.footprint_bytes(), 3 * 128);
+        assert_eq!(b.footprint_bytes(), 3 * 128);
+        a.absorb_counters(&b);
+        assert_eq!(a.footprint_bytes(), 4 * 128);
+        assert_eq!(a.l1_structure_accesses, 6);
+        // Absorbing is a union: the smaller bitmap absorbs the larger.
+        b.absorb_counters(&a);
+        assert_eq!(b.footprint_bytes(), 4 * 128);
     }
 }

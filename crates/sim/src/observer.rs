@@ -2,7 +2,6 @@
 //! [`TraversalObserver`] that charges cycles for every event.
 
 use crate::config::CostModel;
-use crate::fasthash::FastSet;
 use crate::mem::{AccessClass, MemorySystem};
 use crate::stats::SimStats;
 use crate::GpuSim;
@@ -10,9 +9,15 @@ use grtx_bvh::{FetchKind, PrimTestKind, TraversalObserver};
 
 /// Per-ray state that persists across tracing rounds (used to separate
 /// unique from redundant node visits, Fig. 7).
+///
+/// While the ray is in flight this is an append-only log of its fetches;
+/// [`GpuSim::retire_ray`] sorts and deduplicates it once, when the ray
+/// finishes, instead of probing a set on every fetch.
 #[derive(Debug, Clone, Default)]
 pub struct RayTraceState {
-    visited: FastSet<u64>,
+    /// One entry per fetch: `addr << 1 | internal`. After retirement,
+    /// one entry per distinct element, sorted.
+    fetches: Vec<u64>,
 }
 
 impl RayTraceState {
@@ -21,9 +26,30 @@ impl RayTraceState {
         Self::default()
     }
 
-    /// Number of distinct structure elements this ray has fetched.
+    /// Empties the log for a new ray, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.fetches.clear();
+    }
+
+    /// Number of distinct structure elements this ray has fetched; exact
+    /// once the ray is retired.
     pub fn unique_visits(&self) -> usize {
-        self.visited.len()
+        self.fetches.len()
+    }
+}
+
+impl GpuSim {
+    /// Retires a traced ray: deduplicates its fetch log in place and adds
+    /// its unique and internal-unique visit counts to the statistics.
+    /// Call once per ray, after its last round.
+    pub fn retire_ray(&mut self, ray: &mut RayTraceState) {
+        ray.fetches.sort_unstable();
+        // An address is always the same kind of element, so duplicates
+        // are equal entries.
+        ray.fetches.dedup();
+        let internal = ray.fetches.iter().filter(|&&e| e & 1 == 1).count();
+        self.stats
+            .record_unique(ray.fetches.len() as u64, internal as u64);
     }
 }
 
@@ -97,8 +123,8 @@ impl TraversalObserver for SimObserver<'_> {
         let latency = self
             .mem
             .access(self.sm, addr, bytes, AccessClass::Structure);
-        let first = self.ray.visited.insert(addr);
-        self.stats.record_fetch(kind, first, latency);
+        self.ray.fetches.push(addr << 1 | kind.is_internal() as u64);
+        self.stats.record_fetch(kind, latency);
         self.stall_cycles += latency;
         self.compute_cycles += self.shader_fetch_overhead;
     }
@@ -167,6 +193,7 @@ mod tests {
             obs.node_fetch(0x1000, 224, FetchKind::MonoNode);
             assert!(obs.stall_cycles > 0);
         }
+        sim.retire_ray(&mut ray);
         assert_eq!(sim.stats.node_fetches_total, 2);
         assert_eq!(sim.stats.node_fetches_unique, 1);
         assert_eq!(ray.unique_visits(), 1);
@@ -185,6 +212,7 @@ mod tests {
             let mut obs = sim.observer(0, &mut ray);
             obs.node_fetch(0x1000, 224, FetchKind::TlasNode);
         }
+        sim.retire_ray(&mut ray);
         assert_eq!(sim.stats.node_fetches_total, 2);
         assert_eq!(sim.stats.node_fetches_unique, 1);
     }
@@ -198,6 +226,8 @@ mod tests {
             .node_fetch(0x1000, 224, FetchKind::TlasNode);
         sim.observer(0, &mut ray_b)
             .node_fetch(0x1000, 224, FetchKind::TlasNode);
+        sim.retire_ray(&mut ray_a);
+        sim.retire_ray(&mut ray_b);
         assert_eq!(sim.stats.node_fetches_unique, 2, "uniqueness is per ray");
     }
 
@@ -240,5 +270,47 @@ mod tests {
         obs.prefetch_hint(0x4000, 128);
         obs.node_fetch(0x4000, 64, FetchKind::Prim);
         assert_eq!(obs.stall_cycles, 20, "prefetched line must hit L1");
+    }
+
+    #[test]
+    fn retire_ray_splits_internal_unique_across_rounds() {
+        let mut sim = GpuSim::new(GpuConfig::default());
+        let mut ray = RayTraceState::new();
+        let rounds: [&[(u64, FetchKind)]; 2] = [
+            &[
+                (0x1000, FetchKind::TlasNode),
+                (0x2000, FetchKind::Instance),
+                (0x3000, FetchKind::BlasNode),
+                (0x4000, FetchKind::Prim),
+            ],
+            // The next round replays part of the first one's path.
+            &[
+                (0x1000, FetchKind::TlasNode),
+                (0x3000, FetchKind::BlasNode),
+                (0x4000, FetchKind::Prim),
+                (0x5000, FetchKind::Prim),
+            ],
+        ];
+        for round in rounds {
+            let mut obs = sim.observer(0, &mut ray);
+            for &(addr, kind) in round {
+                obs.node_fetch(addr, 64, kind);
+            }
+        }
+        assert_eq!(sim.stats.node_fetches_unique, 0, "counted at retirement");
+        sim.retire_ray(&mut ray);
+        assert_eq!(sim.stats.node_fetches_total, 8);
+        assert_eq!(sim.stats.internal_fetches_total, 4);
+        assert_eq!(sim.stats.node_fetches_unique, 5);
+        assert_eq!(sim.stats.internal_fetches_unique, 2);
+        assert_eq!(ray.unique_visits(), 5);
+
+        // A reused state starts a fresh ray.
+        ray.clear();
+        sim.observer(0, &mut ray)
+            .node_fetch(0x1000, 224, FetchKind::TlasNode);
+        sim.retire_ray(&mut ray);
+        assert_eq!(sim.stats.node_fetches_unique, 6);
+        assert_eq!(sim.stats.internal_fetches_unique, 3);
     }
 }

@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn round_robin_covers_all_sms() {
         let s = schedule();
-        let sms: crate::fasthash::FastSet<usize> = (0..16).map(|w| s.sm_of_warp(w)).collect();
+        let sms: std::collections::BTreeSet<usize> = (0..16).map(|w| s.sm_of_warp(w)).collect();
         assert_eq!(sms.len(), 8);
     }
 

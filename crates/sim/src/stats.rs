@@ -46,19 +46,21 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Records one structure fetch.
-    pub fn record_fetch(&mut self, kind: FetchKind, first_visit: bool, latency: u64) {
+    /// Records one structure fetch. Whether it was the ray's first visit
+    /// is only known when the ray retires (see [`Self::record_unique`]).
+    pub fn record_fetch(&mut self, kind: FetchKind, latency: u64) {
         self.node_fetches_total += 1;
         self.fetch_latency_cycles += latency;
         if kind.is_internal() {
             self.internal_fetches_total += 1;
         }
-        if first_visit {
-            self.node_fetches_unique += 1;
-            if kind.is_internal() {
-                self.internal_fetches_unique += 1;
-            }
-        }
+    }
+
+    /// Records a retired ray's distinct fetched elements: `unique` in
+    /// all, `internal` of them interior nodes.
+    pub fn record_unique(&mut self, unique: u64, internal: u64) {
+        self.node_fetches_unique += unique;
+        self.internal_fetches_unique += internal;
     }
 
     /// Average node-fetch latency in cycles (Fig. 15).
@@ -140,9 +142,10 @@ mod tests {
     #[test]
     fn record_fetch_accumulates() {
         let mut s = SimStats::default();
-        s.record_fetch(FetchKind::MonoNode, true, 20);
-        s.record_fetch(FetchKind::MonoNode, false, 185);
-        s.record_fetch(FetchKind::Prim, true, 20);
+        s.record_fetch(FetchKind::MonoNode, 20);
+        s.record_fetch(FetchKind::MonoNode, 185);
+        s.record_fetch(FetchKind::Prim, 20);
+        s.record_unique(2, 1);
         assert_eq!(s.node_fetches_total, 3);
         assert_eq!(s.node_fetches_unique, 2);
         assert_eq!(s.internal_fetches_total, 2);
@@ -153,9 +156,10 @@ mod tests {
     #[test]
     fn redundancy_is_total_over_unique() {
         let mut s = SimStats::default();
-        for i in 0..10 {
-            s.record_fetch(FetchKind::TlasNode, i < 4, 20);
+        for _ in 0..10 {
+            s.record_fetch(FetchKind::TlasNode, 20);
         }
+        s.record_unique(4, 4);
         assert!((s.redundancy() - 2.5).abs() < 1e-9);
     }
 

@@ -218,7 +218,7 @@ mod tests {
                 max_us: 700,
             }],
             counters: vec![CounterSummary {
-                name: "packet.cache_hits".into(),
+                name: "pipeline.frames".into(),
                 value: 42,
             }],
             histograms: vec![HistogramSummary {
@@ -274,7 +274,7 @@ mod tests {
     fn summary_table_lists_every_section() {
         let table = sample_report().summary_table();
         assert!(table.contains("frame/build"));
-        assert!(table.contains("packet.cache_hits"));
+        assert!(table.contains("pipeline.frames"));
         assert!(table.contains("frame_latency_us"));
         assert!(table.contains("p95"));
     }
