@@ -1,10 +1,10 @@
 //! Scaling: the async frame pipeline. Tracks overlapped
 //! (`depth = 3`: update ∥ build ∥ render) frame streams against
-//! sequential per-frame runs (`depth = 1`) at frame counts 4/16, shard
-//! counts 1/4, and thread counts 1/auto — the
-//! keep-every-stage-busy story behind the ROADMAP's frame-stream
-//! serving goal. Pipelined results are bit-identical to the sequential
-//! path by construction; only wall-clock changes.
+//! one-frame-at-a-time runs (`depth = 1`, the same task graph with one
+//! frame in flight) at frame counts 4/16, shard counts 1/4, and thread
+//! counts 1/auto — the keep-every-stage-busy story behind the ROADMAP's
+//! frame-stream serving goal. Results are bit-identical at every depth
+//! by construction; only wall-clock changes.
 
 use grtx::{PipelineVariant, RunOptions, SceneSetup};
 use grtx_bench::{banner, BENCH_SEED};
@@ -41,7 +41,7 @@ fn main() {
                 let stream_ms = start.elapsed().as_secs_f64() * 1e3;
                 assert_eq!(stream.len(), frames);
 
-                // Sequential: the same frames one at a time (depth 1).
+                // One at a time: the same frames at depth 1.
                 let start = Instant::now();
                 let seq = setup.run_stream(&source, frames, &variant, &options, 1);
                 let seq_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -64,7 +64,7 @@ fn main() {
         }
     }
     println!(
-        "(overlap = sequential per-frame wall-clock vs depth-3 pipeline; \
-         frame results are bit-identical between the two paths)"
+        "(overlap = depth-1 wall-clock vs depth-3 pipeline; \
+         frame results are bit-identical between the two depths)"
     );
 }

@@ -228,10 +228,11 @@ pub struct ExperimentResult {
 }
 
 /// One frame of a [`SceneSetup::run_stream`] frame stream, in frame
-/// order. Under the default [`RunOptions::retry`] policy every frame is
-/// [`StreamFrame::Rendered`]; a quarantining policy surfaces frames
-/// whose stage tasks exhausted their attempts as [`StreamFrame::Failed`]
-/// — in order, while later frames keep rendering.
+/// order. Frames with an invalid camera or scene come back
+/// [`StreamFrame::Failed`] under every [`RunOptions::retry`] policy; a
+/// quarantining policy also surfaces frames whose stage tasks exhausted
+/// their attempts that way — in order, while later frames keep
+/// rendering.
 #[derive(Debug, Clone)]
 pub enum StreamFrame {
     /// The frame rendered: its per-view experiment rows plus stream
@@ -248,7 +249,8 @@ pub enum StreamFrame {
         /// frame.
         results: Vec<ExperimentResult>,
     },
-    /// The frame was quarantined after exhausting its retry budget.
+    /// The frame had invalid input, exhausted its retry budget, or
+    /// depended on a frame that did.
     Failed {
         /// Frame index in the stream.
         index: usize,
@@ -509,22 +511,9 @@ impl SceneSetup {
 
     /// Runs one full simulated render for `(variant, options)`.
     pub fn run(&self, variant: &PipelineVariant, options: &RunOptions) -> ExperimentResult {
-        let layout = Self::layout(options);
-        if options.shards > 0 {
-            let sharded = self.build_sharded_accel_traced(
-                variant,
-                &layout,
-                options.shards,
-                options.threads,
-                &options.telemetry,
-            );
-            let mut result = self.run_with_accel(sharded.accel(), variant, options);
-            result.sharding = Some(sharded.summary());
-            result
-        } else {
-            let accel = self.build_accel(variant, &layout);
-            self.run_with_accel(&accel, variant, options)
-        }
+        self.run_batch(variant, options, std::slice::from_ref(&self.camera))
+            .pop()
+            .expect("one camera yields one result")
     }
 
     /// Runs with a pre-built structure (lets benches reuse expensive
@@ -535,15 +524,9 @@ impl SceneSetup {
         variant: &PipelineVariant,
         options: &RunOptions,
     ) -> ExperimentResult {
-        let config = Self::render_config(variant, options);
-        let gpu = options.gpu.clone().with_cache_scale(self.divisor);
-        let effects = self.effects(options);
-        let report = RenderEngine::new(gpu)
-            .with_threads(options.threads)
-            .with_telemetry(options.telemetry.clone())
-            .with_profiler(options.profiler.clone())
-            .render(accel, &self.scene, &self.camera, effects.as_ref(), &config);
-        self.result_for(accel, report)
+        self.run_batch_with_accel(accel, variant, options, std::slice::from_ref(&self.camera))
+            .pop()
+            .expect("one camera yields one result")
     }
 
     /// Renders `cameras` views of this scene in one batched engine
@@ -692,9 +675,10 @@ impl SceneSetup {
     /// Frames arrive in strict frame order, and every frame's images,
     /// cycles, and statistics are **bit-identical** to a sequential
     /// per-frame [`Self::run_batch`] of the same scene and cameras — at
-    /// any depth, thread count, and shard count. `depth ≤ 1` *is* the
-    /// sequential path (the pipeline's proof anchor); `depth = 3`
-    /// reaches the full update(N+2) ∥ build(N+1) ∥ render(N) overlap.
+    /// any depth, thread count, and shard count. Every depth runs on the
+    /// pipeline's one task-graph executor: `depth ≤ 1` keeps one frame
+    /// in flight; `depth = 3` reaches the full update(N+2) ∥ build(N+1)
+    /// ∥ render(N) overlap.
     pub fn run_stream(
         &self,
         source: &dyn FrameSource,
@@ -709,6 +693,9 @@ impl SceneSetup {
 
     /// Fallible [`Self::run_stream`]: validates the configuration up
     /// front and returns a typed [`GrtxError`] instead of panicking.
+    /// A frame with an invalid camera or scene (or a sceneless frame 0)
+    /// comes back [`StreamFrame::Failed`] under every retry policy, and
+    /// frames reusing its scene fail as [`GrtxError::DependencyFailed`].
     /// Under a quarantining [`RunOptions::retry`] policy, frames whose
     /// stage tasks exhaust their attempts come back as
     /// [`StreamFrame::Failed`] — in frame order, while unaffected frames

@@ -102,8 +102,8 @@ pub use grtx_fault::{
     FaultSpec, GrtxError, RetryPolicy,
 };
 pub use grtx_pipeline::{
-    run_sequential, run_stream, try_run_stream, FrameOutcome, FrameResult, FrameSource, FrameSpec,
-    JitterSource, OrbitSource, StreamConfig,
+    run_stream, try_run_stream, FrameOutcome, FrameResult, FrameSource, FrameSpec, JitterSource,
+    OrbitSource, StreamConfig,
 };
 pub use grtx_prof::{ProfReport, Profiler};
 pub use grtx_render::{

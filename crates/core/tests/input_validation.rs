@@ -1,10 +1,15 @@
 //! `SceneSetup::try_run` turns every degenerate GPU or k-buffer
 //! configuration into a typed `GrtxError::InvalidConfig` before any work
 //! starts — no panic deep inside the cache model or k-buffer, and no
-//! `Ok` carrying an infinite render time.
+//! `Ok` carrying an infinite render time. `SceneSetup::try_run_stream`
+//! turns invalid frames into typed per-frame failures the same way.
 
-use grtx::{GpuConfig, GrtxError, PipelineVariant, RunOptions, SceneSetup};
+use grtx::{
+    Camera, CameraModel, FrameSource, FrameSpec, GaussianScene, GpuConfig, GrtxError,
+    PipelineVariant, RetryPolicy, RunOptions, SceneSetup,
+};
 use grtx_scene::SceneKind;
+use std::sync::Arc;
 
 fn try_run(options: RunOptions) -> Result<grtx::ExperimentResult, GrtxError> {
     let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
@@ -107,4 +112,109 @@ fn zero_k_is_rejected() {
             ..Default::default()
         },
     );
+}
+
+/// Frame 0 is `first`, frame 1 reuses frame 0's scene, and frame 2
+/// supplies a fresh valid scene.
+struct BrokenFirstFrame {
+    first: FrameSpec,
+    valid: FrameSpec,
+}
+
+impl FrameSource for BrokenFirstFrame {
+    fn frame(&self, index: usize) -> FrameSpec {
+        match index {
+            0 => self.first.clone(),
+            1 => FrameSpec {
+                scene: None,
+                cameras: self.valid.cameras.clone(),
+            },
+            _ => self.valid.clone(),
+        }
+    }
+}
+
+/// A sceneless frame 0, a 0×0 camera, and a scene with a non-finite
+/// sigma bound each fail their frame with a typed error — at depth 1 and
+/// 3, under the default and a quarantining retry policy. The frame that
+/// reuses the broken frame's scene fails as a dependency, and the next
+/// fresh frame renders.
+#[test]
+fn invalid_stream_frames_fail_with_typed_errors() {
+    let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
+    let scene = Arc::new(setup.scene.clone());
+    let valid = FrameSpec {
+        scene: Some(scene.clone()),
+        cameras: vec![setup.camera.clone()],
+    };
+    let zero_camera = Camera::look_at(
+        0,
+        0,
+        CameraModel::Pinhole { fov_y: 0.9 },
+        setup.camera.eye(),
+        grtx_math::Vec3::ZERO,
+        grtx_math::Vec3::Y,
+    );
+    let nan_sigma = GaussianScene::with_sigma_bound(scene.gaussians().to_vec(), f32::NAN);
+    let cases = [
+        (
+            "sceneless frame 0",
+            FrameSpec {
+                scene: None,
+                cameras: valid.cameras.clone(),
+            },
+        ),
+        (
+            "0x0 camera",
+            FrameSpec {
+                scene: Some(scene.clone()),
+                cameras: vec![zero_camera],
+            },
+        ),
+        (
+            "NaN sigma bound",
+            FrameSpec {
+                scene: Some(Arc::new(nan_sigma)),
+                cameras: valid.cameras.clone(),
+            },
+        ),
+    ];
+    for (name, first) in cases {
+        let source = BrokenFirstFrame {
+            first,
+            valid: valid.clone(),
+        };
+        for retry in [RetryPolicy::default(), RetryPolicy::resilient(2)] {
+            for depth in [1usize, 3] {
+                let what = format!("{name}, depth {depth}, {retry:?}");
+                let options = RunOptions {
+                    threads: 2,
+                    retry,
+                    ..Default::default()
+                };
+                let frames = setup
+                    .try_run_stream(&source, 3, &PipelineVariant::grtx(), &options, depth)
+                    .unwrap_or_else(|e| panic!("{what}: stream-level error {e}"));
+                assert_eq!(frames.len(), 3, "{what}");
+                match (name, frames[0].error()) {
+                    ("0x0 camera", Some(GrtxError::InvalidCamera { .. })) => {}
+                    (
+                        "sceneless frame 0" | "NaN sigma bound",
+                        Some(GrtxError::InvalidScene { .. }),
+                    ) => {}
+                    (_, other) => panic!("{what}: frame 0 error {other:?}"),
+                }
+                assert_eq!(
+                    frames[1].error(),
+                    Some(&GrtxError::DependencyFailed {
+                        frame: 1,
+                        dependency: 0
+                    }),
+                    "{what}"
+                );
+                assert!(!frames[2].is_failed(), "{what}: {:?}", frames[2].error());
+                assert!(frames[2].rebuilt(), "{what}");
+            }
+        }
+    }
 }

@@ -17,22 +17,23 @@
 //!   structure, reusing the previous one when the scene is unchanged) →
 //!   **render** (frame N's `cameras × SMs` fragment fan-out) — over one
 //!   scoped worker pool that steals across stages, with bounded
-//!   double-buffered stage handoffs;
-//! * [`run_sequential`] is the one-frame-at-a-time proof anchor
-//!   ([`StreamConfig::depth`] ≤ 1 runs it directly).
+//!   double-buffered stage handoffs. It is the only executor:
+//!   [`StreamConfig::depth`] ≤ 1 runs the same graph one frame at a
+//!   time.
 //!
 //! # Determinism contract
 //!
 //! Frames come back as [`FrameResult`]s in strict frame order, and every
 //! frame's images, cycles, and statistics are **bit-identical** to
-//! running the frames sequentially — at any pipeline depth, any thread
-//! count, and any shard count. Overlap changes wall-clock time only.
+//! building and batch-rendering each frame on its own — at any pipeline
+//! depth, any thread count, and any shard count. Overlap changes wall-clock time only.
 //! The scheduler details and the proof sketch live in [`stream`].
 //!
 //! # Faults and graceful degradation
 //!
-//! [`try_run_stream`] is the fallible entry point: it validates inputs
-//! up front ([`grtx_fault::GrtxError`]) and, when
+//! [`try_run_stream`] is the fallible entry point: it validates the
+//! configuration up front and each frame's cameras and scene as the
+//! frame is produced ([`grtx_fault::GrtxError`]) and, when
 //! [`StreamConfig::retry`] enables quarantine, converts stage-task
 //! panics — injected by a [`grtx_fault::FaultPlan`] or genuine — into
 //! per-frame [`FrameOutcome::Failed`] entries after
@@ -45,6 +46,4 @@ pub mod stream;
 
 pub use grtx_fault::{FaultInjector, FaultPlan, GrtxError, RetryPolicy};
 pub use source::{FrameSource, FrameSpec, JitterSource, OrbitSource};
-pub use stream::{
-    run_sequential, run_stream, try_run_stream, FrameOutcome, FrameResult, StreamConfig,
-};
+pub use stream::{run_stream, try_run_stream, FrameOutcome, FrameResult, StreamConfig};

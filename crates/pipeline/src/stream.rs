@@ -28,10 +28,13 @@
 //! A frame's slot releases its scene, structure, and launches as soon as
 //! no successor can still reuse them, so a long stream holds a bounded
 //! working set — not every frame to the end. [`StreamConfig::depth`]
-//! additionally caps the total frames in flight — depth 1 degenerates to
-//! the sequential per-frame path ([`run_sequential`]), depth 3 reaches
-//! the full update(N+2) ∥ build(N+1) ∥ render(N) overlap, and the
-//! handoff bounds cap useful depth at 5 regardless.
+//! additionally caps the total frames in flight — at depth 1 `update(n)`
+//! waits until frame `n - 1` has merged, so frames run one at a time on
+//! the same task graph; depth 3 reaches the full update(N+2) ∥
+//! build(N+1) ∥ render(N) overlap, and the handoff bounds cap useful
+//! depth at 5 regardless. The task graph is the only executor: every
+//! depth shares one implementation of fault probes, retries,
+//! quarantine, profiler keys, and input validation.
 //!
 //! # One pool, work stealing across stages
 //!
@@ -47,11 +50,11 @@
 //! Every task is a pure function of its frame's inputs, results land in
 //! slots keyed by frame (and fragment) index, and merges follow the
 //! engine's fixed `(camera, SM)` order — so images, cycles, and every
-//! statistic are **bit-identical** to running the frames sequentially
-//! ([`run_sequential`], and therefore to per-frame
-//! `RenderEngine::render_batch` calls) at any thread count and any
-//! pipeline depth. Only wall-clock time changes. Build timings inside
-//! [`ShardingSummary`] are wall-clock measurements and are exempt.
+//! statistic are **bit-identical** to building each frame's structure
+//! and calling `RenderEngine::render_batch` on it, one frame at a time,
+//! at any thread count and any pipeline depth. Only wall-clock time
+//! changes. Build timings inside [`ShardingSummary`] are wall-clock
+//! measurements and are exempt.
 
 use crate::source::FrameSource;
 use grtx_bvh::{AccelStruct, BoundingPrimitive, BvhSizeReport, LayoutConfig};
@@ -71,8 +74,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// pipeline shape (depth, threads, shards).
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Maximum frames in flight. `0`/`1` runs the sequential per-frame
-    /// path; `2` overlaps rendering with the next frame's update+build;
+    /// Maximum frames in flight. `0`/`1` runs one frame at a time; `2`
+    /// overlaps rendering with the next frame's update+build;
     /// `3` (the default) reaches the full three-stage overlap. Depths
     /// above 5 change nothing — the bounded stage handoffs (update ≤ 2
     /// frames past completed builds, build ≤ 1 frame past the oldest
@@ -114,9 +117,9 @@ pub struct StreamConfig {
     /// injection is schedule-independent and the recovered stream is
     /// bit-identical to a fault-free run.
     pub faults: FaultInjector,
-    /// How the pipeline responds to a panicking stage task. The default
-    /// (one attempt, no quarantine) is the legacy behavior: the first
-    /// panic poisons the pipeline and re-raises on the caller. A
+    /// How the pipeline responds to a panicking stage task. Under the
+    /// default (one attempt, no quarantine) the first panic poisons the
+    /// pipeline and re-raises its original payload on the caller. A
     /// [`RetryPolicy::resilient`] policy retries deterministically and
     /// quarantines frames that exhaust their attempts as
     /// [`FrameOutcome::Failed`] while later frames keep flowing.
@@ -145,17 +148,8 @@ impl Default for StreamConfig {
     }
 }
 
-impl StreamConfig {
-    /// Whether this configuration needs the fault/retry machinery at
-    /// all. When it doesn't (the default), the sequential path runs the
-    /// exact legacy code with zero catch points.
-    fn wants_fault_machinery(&self) -> bool {
-        self.faults.is_enabled() || self.retry.attempts() > 1 || self.retry.quarantine
-    }
-}
-
-/// One rendered frame, in frame order, with everything the sequential
-/// path would have produced.
+/// One rendered frame, in frame order, with everything a standalone
+/// build and batch render of the frame would have produced.
 #[derive(Debug, Clone)]
 pub struct FrameResult {
     /// Frame index in the stream.
@@ -182,15 +176,17 @@ pub struct FrameResult {
     pub sharding: Option<ShardingSummary>,
 }
 
-/// One frame's outcome under a quarantining [`RetryPolicy`]: rendered,
-/// or failed after exhausting its retries — in frame order either way.
+/// One frame's outcome: rendered, or failed — on invalid input under
+/// any [`RetryPolicy`], or after exhausting its retries under a
+/// quarantining one — in frame order either way.
 #[derive(Debug, Clone)]
 pub enum FrameOutcome {
     /// The frame rendered completely; bit-identical to a fault-free
     /// run of the same stream.
     Rendered(FrameResult),
-    /// The frame exhausted its retries (or depended on a frame that
-    /// did) and was quarantined; later frames keep flowing.
+    /// The frame had an invalid camera or scene, or exhausted its
+    /// retries (or depended on a frame that did either), and was
+    /// quarantined; later frames keep flowing.
     Failed {
         /// Frame index in the stream.
         index: usize,
@@ -208,12 +204,12 @@ impl FrameOutcome {
         }
     }
 
-    /// Whether the frame was quarantined.
+    /// Whether the frame failed.
     pub fn is_failed(&self) -> bool {
         matches!(self, FrameOutcome::Failed { .. })
     }
 
-    /// The quarantine error, if the frame failed.
+    /// The frame's error, if it failed.
     pub fn error(&self) -> Option<&GrtxError> {
         match self {
             FrameOutcome::Rendered(_) => None,
@@ -282,19 +278,19 @@ fn build_structure(scene: &GaussianScene, config: &StreamConfig, build_threads: 
 /// results in strict frame order.
 ///
 /// Every frame's images, cycles, and statistics are **bit-identical** to
-/// [`run_sequential`] — and therefore to building and batch-rendering
-/// each frame one at a time — at any [`StreamConfig::depth`],
-/// [`StreamConfig::threads`], and [`StreamConfig::shards`].
+/// building and batch-rendering each frame one at a time — at any
+/// [`StreamConfig::depth`], [`StreamConfig::threads`], and
+/// [`StreamConfig::shards`].
 ///
 /// # Panics
 ///
-/// Panics if frame 0's [`FrameSpec`](crate::FrameSpec) carries no scene,
-/// if the source/build/render work itself panics past the retry budget
-/// (worker panics are forwarded to the caller under the default
-/// [`RetryPolicy`]), if the configuration is invalid, or if a
-/// quarantining policy produced a `Failed` frame — callers that expect
-/// failures should use [`try_run_stream`], which surfaces them as
-/// [`FrameOutcome::Failed`] instead.
+/// Panics if the configuration is invalid, if any frame comes back
+/// [`FrameOutcome::Failed`] (an invalid frame, or a quarantined stage
+/// task), or if the source/build/render work itself panics past the
+/// retry budget (worker panics are forwarded to the caller under the
+/// default [`RetryPolicy`]) — callers that expect failures should use
+/// [`try_run_stream`], which surfaces them as [`FrameOutcome::Failed`]
+/// instead.
 pub fn run_stream(
     source: &dyn FrameSource,
     frames: usize,
@@ -309,22 +305,25 @@ pub fn run_stream(
 
 /// Fallible [`run_stream`]: validates the configuration up front
 /// (returning [`GrtxError::InvalidConfig`] for degenerate GPU shapes or
-/// a zero-capacity k-buffer)
-/// and, under a quarantining [`RetryPolicy`], yields per-frame
-/// [`FrameOutcome`]s — failed frames surface in order as
-/// [`FrameOutcome::Failed`] while later frames keep rendering.
+/// a zero-capacity k-buffer) and yields per-frame [`FrameOutcome`]s in
+/// frame order, on the one task-graph executor at every depth.
 ///
-/// Zero-fault runs take exactly the legacy code paths and are
-/// bit-identical to [`run_stream`] today; recovered transient-fault
-/// runs are bit-identical to fault-free runs at any depth, thread
-/// count, and shard count.
+/// The update task validates each frame's cameras and fresh scene: a
+/// frame with an invalid camera ([`GrtxError::InvalidCamera`]), an
+/// invalid scene, or no scene at frame 0 ([`GrtxError::InvalidScene`])
+/// comes back [`FrameOutcome::Failed`] under every [`RetryPolicy`], and
+/// later frames that reuse its scene fail with
+/// [`GrtxError::DependencyFailed`]. Under a quarantining policy, frames
+/// whose stage tasks exhaust their attempts fail the same way while
+/// later frames keep rendering; recovered transient-fault runs are
+/// bit-identical to fault-free runs at any depth, thread count, and
+/// shard count.
 ///
 /// # Panics
 ///
 /// Under the default non-quarantining policy, a stage panic that
-/// exhausts [`RetryPolicy::max_attempts`] still poisons the pipeline
-/// and re-raises the original payload — preserving the legacy contract
-/// (and the panic payload) for callers that want panics.
+/// exhausts [`RetryPolicy::max_attempts`] poisons the pipeline and
+/// re-raises the original payload on the caller.
 pub fn try_run_stream(
     source: &dyn FrameSource,
     frames: usize,
@@ -335,98 +334,7 @@ pub fn try_run_stream(
     if frames == 0 {
         return Ok(Vec::new());
     }
-    if config.depth <= 1 {
-        if !config.wants_fault_machinery() {
-            return Ok(run_sequential(source, frames, config)
-                .into_iter()
-                .map(FrameOutcome::Rendered)
-                .collect());
-        }
-        return Ok(resilient_sequential(source, frames, config));
-    }
     Ok(Pipeline::new(source, frames, config).run())
-}
-
-/// The sequential per-frame path: update, build, render, one frame at a
-/// time — the proof anchor the pipelined scheduler is tested against
-/// (and the `depth ≤ 1` behavior of [`run_stream`]).
-///
-/// The unchanged-scene rebuild skip applies here too, so reuse frames
-/// cost no build; skipping is invisible in the results because the
-/// serial rebuild is deterministic.
-pub fn run_sequential(
-    source: &dyn FrameSource,
-    frames: usize,
-    config: &StreamConfig,
-) -> Vec<FrameResult> {
-    let engine = RenderEngine::new(config.gpu.clone())
-        .with_threads(config.threads)
-        .with_telemetry(config.telemetry.clone())
-        .with_profiler(config.profiler.clone());
-    let telemetry = &config.telemetry;
-    let mut recorder = telemetry.recorder("stream-sequential");
-    let mut results = Vec::with_capacity(frames);
-    let mut scene: Option<Arc<GaussianScene>> = None;
-    let mut built: Option<Arc<Built>> = None;
-    for index in 0..frames {
-        let frame_start = telemetry.now_us();
-        let (rebuilt, reports) = recorder.scope("pipeline.frame", index as u64, |rec| {
-            let spec = rec.scope("pipeline.update", index as u64, |_| source.frame(index));
-            let rebuilt = spec.scene.is_some();
-            if let Some(s) = spec.scene {
-                scene = Some(s);
-            }
-            let scene = scene.as_ref().expect("frame 0 must supply a scene");
-            if rebuilt || built.is_none() {
-                telemetry.counter_add("pipeline.rebuilds", 1);
-                built = Some(Arc::new(rec.scope("pipeline.build", index as u64, |_| {
-                    build_structure(scene, config, config.threads)
-                })));
-            } else {
-                telemetry.counter_add("pipeline.rebuild_skips", 1);
-            }
-            let built = built.as_ref().expect("structure built above");
-            let reports = rec.scope("pipeline.render", index as u64, |_| {
-                // The same `(frame << 32) | camera` profile keys as the
-                // task-graph path, so profiles are depth-independent.
-                engine.render_batch_keyed(
-                    (index as u64) << 32,
-                    &built.accel,
-                    scene,
-                    &spec.cameras,
-                    config.effects.as_ref(),
-                    &config.render,
-                )
-            });
-            (rebuilt, reports)
-        });
-        telemetry.record_value(
-            "pipeline.frame_latency_us",
-            telemetry.now_us().saturating_sub(frame_start),
-        );
-        telemetry.counter_add("pipeline.frames", 1);
-        let scene = scene.as_ref().expect("frame 0 must supply a scene");
-        let built = built.as_ref().expect("structure built above");
-        results.push(FrameResult {
-            index,
-            gaussians: scene.len(),
-            rebuilt,
-            reports,
-            size: built.size,
-            height: built.height,
-            sharding: built.sharding.clone(),
-        });
-    }
-    results
-}
-
-/// Outcome of one stage task run under the retry policy.
-enum StageRun<T> {
-    /// The body completed (possibly after retries).
-    Done(T),
-    /// Every permitted attempt panicked; quarantine converted the last
-    /// payload into a typed error (which records the attempt count).
-    Exhausted { error: GrtxError },
 }
 
 /// Builds the `StageFailed` error for an exhausted stage task. Injected
@@ -454,260 +362,6 @@ fn stage_failed(
         attempts,
         reason,
     }
-}
-
-/// Runs one stage body under the retry policy: catches panics, counts
-/// attempts (passing the 0-based attempt number to the body so fault
-/// probes see it), and — under quarantine — converts exhaustion into a
-/// typed error. Non-quarantine exhaustion re-raises the original
-/// payload, preserving the legacy panic contract.
-fn run_stage<T>(
-    config: &StreamConfig,
-    recorder: &mut grtx_telemetry::SpanRecorder,
-    stage: FaultSite,
-    frame: usize,
-    body: &mut dyn FnMut(u32) -> T,
-) -> StageRun<T> {
-    let telemetry = &config.telemetry;
-    let mut attempt = 0u32;
-    loop {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(attempt))) {
-            Ok(value) => return StageRun::Done(value),
-            Err(payload) => {
-                if payload.downcast_ref::<InjectedFault>().is_some() {
-                    telemetry.counter_add("fault.injected", 1);
-                }
-                attempt += 1;
-                if attempt < config.retry.attempts() {
-                    telemetry.counter_add("fault.retries", 1);
-                    recorder.scope("pipeline.retry", frame as u64, |_| ());
-                    continue;
-                }
-                if config.retry.quarantine {
-                    return StageRun::Exhausted {
-                        error: stage_failed(stage, frame, attempt, payload.as_ref()),
-                    };
-                }
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-}
-
-/// The fault-aware sequential path (`depth ≤ 1` with fault injection,
-/// retries, or quarantine enabled): the same per-frame update → build →
-/// fragment → merge structure as the task graph, probing the same
-/// `(site, key, unit, attempt)` points — so its [`FaultLog`] and its
-/// recovered results are bit-identical to the pipelined scheduler's at
-/// any depth.
-///
-/// [`FaultLog`]: grtx_fault::FaultLog
-fn resilient_sequential(
-    source: &dyn FrameSource,
-    frames: usize,
-    config: &StreamConfig,
-) -> Vec<FrameOutcome> {
-    let engine = RenderEngine::new(config.gpu.clone())
-        .with_threads(config.threads)
-        .with_telemetry(config.telemetry.clone())
-        .with_profiler(config.profiler.clone());
-    let sms = engine.fragments_per_launch();
-    let telemetry = &config.telemetry;
-    let mut recorder = telemetry.recorder("stream-sequential");
-    let mut results: Vec<FrameOutcome> = Vec::with_capacity(frames);
-    let mut scene: Option<Arc<GaussianScene>> = None;
-    let mut built: Option<Arc<Built>> = None;
-    // Root of the most recent scene-chain break: set when an update
-    // fails, cleared when a later frame supplies a fresh scene.
-    let mut broken_dependency: Option<usize> = None;
-
-    let fail = |results: &mut Vec<FrameOutcome>, index: usize, error: GrtxError| {
-        telemetry.counter_add("fault.frames_failed", 1);
-        results.push(FrameOutcome::Failed { index, error });
-    };
-
-    for index in 0..frames {
-        let key = (index as u64) << 32;
-        let frame_start = telemetry.now_us();
-
-        // Update: produce the spec and plan launches. Not an injection
-        // site, but foreign panics quarantine like any other stage.
-        let update = run_stage(config, &mut recorder, FaultSite::Update, index, &mut |_| {
-            let spec = source.frame(index);
-            assert!(
-                spec.scene.is_some() || index > 0,
-                "frame 0 must supply a scene"
-            );
-            let launches: Vec<CameraLaunch> = spec
-                .cameras
-                .iter()
-                .map(|camera| engine.plan_launch(camera, config.effects.as_ref()))
-                .collect();
-            (spec, launches)
-        });
-        let (spec, launches) = match update {
-            StageRun::Done(value) => value,
-            StageRun::Exhausted { error, .. } => {
-                // The frame never resolved a scene; successors that rely
-                // on an unchanged scene inherit the break until a frame
-                // supplies a fresh one.
-                scene = None;
-                built = None;
-                broken_dependency = broken_dependency.or(Some(index));
-                fail(&mut results, index, error);
-                continue;
-            }
-        };
-        let rebuilt = spec.scene.is_some();
-        if let Some(fresh) = spec.scene {
-            scene = Some(fresh);
-            broken_dependency = None;
-        }
-        let Some(frame_scene) = scene.clone() else {
-            let dependency = broken_dependency.unwrap_or(0) as u64;
-            fail(
-                &mut results,
-                index,
-                GrtxError::DependencyFailed {
-                    frame: index as u64,
-                    dependency,
-                },
-            );
-            continue;
-        };
-
-        // Build (or reuse). Probes the partition and build sites — on
-        // reuse frames too, matching the task-graph build task.
-        let reuse = if rebuilt { None } else { built.clone() };
-        let build = run_stage(
-            config,
-            &mut recorder,
-            FaultSite::Build,
-            index,
-            &mut |attempt| {
-                config.faults.probe(FaultSite::Partition, key, 0, attempt);
-                config.faults.probe(FaultSite::Build, key, 0, attempt);
-                match &reuse {
-                    Some(structure) => {
-                        telemetry.counter_add("pipeline.rebuild_skips", 1);
-                        structure.clone()
-                    }
-                    None => {
-                        telemetry.counter_add("pipeline.rebuilds", 1);
-                        Arc::new(build_structure(&frame_scene, config, config.threads))
-                    }
-                }
-            },
-        );
-        let frame_built = match build {
-            StageRun::Done(structure) => structure,
-            StageRun::Exhausted { error, .. } => {
-                // A failed build invalidates only its own frame; the
-                // next reuse frame rebuilds fresh from its scene.
-                built = None;
-                fail(&mut results, index, error);
-                continue;
-            }
-        };
-        built = Some(frame_built.clone());
-
-        // Fragments: every fragment runs to completion or exhaustion —
-        // even after a sibling exhausted — so the set of probed
-        // `(site, key, unit, attempt)` points is schedule-independent.
-        // The lowest exhausted fragment's error is the frame's error.
-        let fragment_count = spec.cameras.len() * sms;
-        let mut outcomes: Vec<Option<SmOutcome>> = (0..fragment_count).map(|_| None).collect();
-        let mut fragment_error: Option<GrtxError> = None;
-        for (fragment, slot) in outcomes.iter_mut().enumerate() {
-            let camera = fragment / sms;
-            let sm = fragment % sms;
-            let run = run_stage(
-                config,
-                &mut recorder,
-                FaultSite::Fragment,
-                index,
-                &mut |attempt| {
-                    config.faults.probe(
-                        FaultSite::Fragment,
-                        key | camera as u64,
-                        sm as u64,
-                        attempt,
-                    );
-                    engine.simulate_fragment(
-                        &frame_built.accel,
-                        &frame_scene,
-                        &config.render,
-                        &launches[camera],
-                        sm,
-                    )
-                },
-            );
-            match run {
-                StageRun::Done(outcome) => *slot = Some(outcome),
-                StageRun::Exhausted { error, .. } => {
-                    fragment_error.get_or_insert(error);
-                }
-            }
-        }
-        if let Some(error) = fragment_error {
-            fail(&mut results, index, error);
-            continue;
-        }
-
-        // Merge. The probe fires before any outcome is consumed, so an
-        // injected merge fault retries against intact inputs; a foreign
-        // panic mid-merge leaves them consumed and the retry exhausts
-        // on the "inputs consumed" panic instead (the task graph fails
-        // such frames immediately for the same reason).
-        let merge = run_stage(
-            config,
-            &mut recorder,
-            FaultSite::Merge,
-            index,
-            &mut |attempt| {
-                config.faults.probe(FaultSite::Merge, key, 0, attempt);
-                spec.cameras
-                    .iter()
-                    .enumerate()
-                    .map(|(cam, camera)| {
-                        let sm_outcomes: Vec<SmOutcome> = outcomes[cam * sms..(cam + 1) * sms]
-                            .iter_mut()
-                            .map(|o| o.take().expect("merge inputs consumed by a failed attempt"))
-                            .collect();
-                        engine.merge_launch_keyed(
-                            key | cam as u64,
-                            &launches[cam],
-                            camera,
-                            &config.render,
-                            sm_outcomes,
-                        )
-                    })
-                    .collect::<Vec<RenderReport>>()
-            },
-        );
-        match merge {
-            StageRun::Done(reports) => {
-                telemetry.record_value(
-                    "pipeline.frame_latency_us",
-                    telemetry.now_us().saturating_sub(frame_start),
-                );
-                telemetry.counter_add("pipeline.frames", 1);
-                results.push(FrameOutcome::Rendered(FrameResult {
-                    index,
-                    gaussians: frame_scene.len(),
-                    rebuilt,
-                    reports,
-                    size: frame_built.size,
-                    height: frame_built.height,
-                    sharding: frame_built.sharding.clone(),
-                }));
-            }
-            StageRun::Exhausted { error, .. } => {
-                fail(&mut results, index, error);
-            }
-        }
-    }
-    results
 }
 
 /// Per-frame pipeline slot, filled stage by stage.
@@ -1012,8 +666,8 @@ impl<'a> Pipeline<'a> {
     /// requeue the task for a retry (returns `true`), quarantine its
     /// frame under the resilient policy (returns `false`), or — under
     /// the default policy — poison the pipeline and re-raise the
-    /// original payload on this worker (diverges, preserving legacy
-    /// fail-fast semantics byte for byte).
+    /// original payload on this worker (diverges, so the caller sees
+    /// exactly the payload the task raised).
     fn handle_panic(&self, id: TaskId, payload: Box<dyn std::any::Any + Send>) -> bool {
         let telemetry = &self.config.telemetry;
         if payload.downcast_ref::<InjectedFault>().is_some() {
@@ -1208,7 +862,7 @@ impl<'a> Pipeline<'a> {
         //    rendered plus one queued — the double-buffered handoff).
         while state.build_claimed == state.build_done
             && state.build_claimed < state.update_done
-            && state.build_claimed - state.merged_prefix < 2
+            && state.build_claimed < state.merged_prefix + 2
         {
             let n = state.build_claimed;
             if state.slots[n].failed.is_some() {
@@ -1244,15 +898,8 @@ impl<'a> Pipeline<'a> {
             // gone, so fall back to a fresh (bit-identical) build.
             let reuse = if state.slots[n].scene_changed {
                 None
-            } else if self.config.retry.quarantine {
-                state.slots[n - 1].built.clone()
             } else {
-                Some(
-                    state.slots[n - 1]
-                        .built
-                        .clone()
-                        .expect("previous frame built before an unchanged frame"),
-                )
+                state.slots[n - 1].built.clone()
             };
             return Some(Task::Build {
                 frame: n,
@@ -1310,52 +957,61 @@ impl<'a> Pipeline<'a> {
         match task {
             Task::Update(n) => {
                 let spec = self.source.frame(n);
-                assert!(spec.scene.is_some() || n > 0, "frame 0 must supply a scene");
-                let launches: Vec<CameraLaunch> = spec
+                // Validate before planning: an invalid frame fails here,
+                // under every retry policy, and never reaches the engine.
+                let checked = spec
                     .cameras
                     .iter()
-                    .map(|camera| {
-                        self.engine
-                            .plan_launch(camera, self.config.effects.as_ref())
-                    })
-                    .collect();
+                    .try_for_each(grtx_render::validate_camera)
+                    .and_then(|()| match &spec.scene {
+                        Some(scene) => scene.validate(),
+                        None if n == 0 => Err(GrtxError::InvalidScene {
+                            index: None,
+                            reason: "frame 0 must supply a scene".to_string(),
+                        }),
+                        None => Ok(()),
+                    });
+                let launches: Vec<CameraLaunch> = if checked.is_ok() {
+                    spec.cameras
+                        .iter()
+                        .map(|camera| {
+                            self.engine
+                                .plan_launch(camera, self.config.effects.as_ref())
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 let fragment_count = spec.cameras.len() * self.sms;
                 let mut state = self.lock_state();
                 let scene_changed = spec.scene.is_some();
-                let scene = match spec.scene {
-                    Some(scene) => scene,
-                    None => {
-                        assert!(n > 0, "frame 0 must supply a scene");
-                        match state.slots[n - 1].scene.clone() {
-                            Some(scene) => scene,
-                            None if self.config.retry.quarantine => {
-                                // The predecessor's update was
-                                // quarantined, so this frame's scene is
-                                // unreachable: fail it against the root
-                                // of the dependency chain and move on.
-                                let dependency = match &state.slots[n - 1].failed {
-                                    Some((GrtxError::DependencyFailed { dependency, .. }, _)) => {
-                                        *dependency
-                                    }
-                                    _ => (n - 1) as u64,
-                                };
-                                state.running -= 1;
-                                self.fail_frame(
-                                    &mut state,
-                                    n,
-                                    FaultSite::Update,
-                                    usize::MAX,
-                                    GrtxError::DependencyFailed {
-                                        frame: n as u64,
-                                        dependency,
-                                    },
-                                );
-                                drop(state);
-                                self.ready.notify_all();
-                                return;
+                // An unchanged scene resolves from the predecessor's slot;
+                // if the predecessor failed at update, the scene is
+                // unreachable and this frame fails against the root of the
+                // dependency chain.
+                let scene = checked.and_then(|()| match spec.scene {
+                    Some(scene) => Ok(scene),
+                    None => state.slots[n - 1].scene.clone().ok_or_else(|| {
+                        let dependency = match &state.slots[n - 1].failed {
+                            Some((GrtxError::DependencyFailed { dependency, .. }, _)) => {
+                                *dependency
                             }
-                            None => panic!("previous frame updated before this one"),
+                            _ => (n - 1) as u64,
+                        };
+                        GrtxError::DependencyFailed {
+                            frame: n as u64,
+                            dependency,
                         }
+                    }),
+                });
+                let scene = match scene {
+                    Ok(scene) => scene,
+                    Err(error) => {
+                        state.running -= 1;
+                        self.fail_frame(&mut state, n, FaultSite::Update, usize::MAX, error);
+                        drop(state);
+                        self.ready.notify_all();
+                        return;
                     }
                 };
                 let slot = &mut state.slots[n];

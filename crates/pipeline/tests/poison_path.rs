@@ -1,7 +1,8 @@
 //! The default-policy poisoning contract, pinned: a stage-task panic
 //! poisons the pipeline, sibling workers drain out without deadlocking,
 //! the *original* panic payload reaches the caller unchanged, and the
-//! process can run fresh streams afterwards.
+//! process can run fresh streams afterwards — at depth 1 (one frame at a
+//! time) and depth 3 (full overlap) alike.
 //!
 //! Everything lives in one `#[test]` because the quiet-hook dance is
 //! process-global.
@@ -53,9 +54,15 @@ impl FrameSource for PanickySource {
 
 #[test]
 fn poisoned_pool_preserves_the_payload_drains_and_recovers() {
+    for depth in [1usize, 3] {
+        poison_drain_and_recover(depth);
+    }
+}
+
+fn poison_drain_and_recover(depth: usize) {
     let scene = train_scene(150);
     let config = StreamConfig {
-        depth: 3,
+        depth,
         threads: 4,
         ..Default::default()
     };
@@ -80,7 +87,7 @@ fn poisoned_pool_preserves_the_payload_drains_and_recovers() {
     //    like any other stage panic — poison, drain, and the typed
     //    `InjectedFault` payload surfaces unchanged.
     let faulty = StreamConfig {
-        depth: 3,
+        depth,
         threads: 4,
         faults: FaultInjector::with_plan(FaultPlan::new().permanent(FaultSite::Build, 1)),
         retry: RetryPolicy::default(),

@@ -1,14 +1,17 @@
 //! The pipeline's determinism contract at the engine level: frames from
 //! the overlapped scheduler are bit-identical — images, cycles, every
-//! statistic, structure accounting — to the sequential per-frame path,
-//! in strict frame order, at any depth, thread count, and shard count.
+//! statistic, structure accounting — to building and batch-rendering
+//! each frame on its own, in strict frame order, at any depth, thread
+//! count, and shard count.
 
+use grtx_bvh::AccelStruct;
 use grtx_pipeline::{
-    run_sequential, run_stream, FrameResult, FrameSource, FrameSpec, JitterSource, OrbitSource,
-    StreamConfig,
+    run_stream, FrameResult, FrameSource, FrameSpec, JitterSource, OrbitSource, StreamConfig,
 };
+use grtx_render::RenderEngine;
 use grtx_scene::synth::generate_scene;
 use grtx_scene::{Camera, CameraModel, SceneKind};
+use grtx_shard::ShardedAccel;
 use std::sync::Arc;
 
 fn train_scene(budget: usize) -> Arc<grtx_scene::GaussianScene> {
@@ -27,6 +30,60 @@ fn base_camera() -> Camera {
         grtx_math::Vec3::ZERO,
         grtx_math::Vec3::Y,
     )
+}
+
+/// The oracle the pipeline is held to: one frame at a time, resolve the
+/// source's scene chain, build the structure when the scene is fresh
+/// (sharded when `config.shards > 0`), and batch-render the frame's
+/// cameras against it.
+fn sequential_oracle(
+    source: &dyn FrameSource,
+    frames: usize,
+    config: &StreamConfig,
+) -> Vec<FrameResult> {
+    let engine = RenderEngine::new(config.gpu.clone()).with_threads(config.threads);
+    let mut current = None;
+    let mut results = Vec::with_capacity(frames);
+    for index in 0..frames {
+        let spec = source.frame(index);
+        let rebuilt = spec.scene.is_some();
+        if let Some(scene) = spec.scene {
+            let (accel, sharding) = if config.shards > 0 {
+                let sharded = ShardedAccel::build(
+                    &scene,
+                    config.primitive,
+                    config.two_level,
+                    &config.layout,
+                    config.shards,
+                    config.threads,
+                );
+                let summary = sharded.summary();
+                (sharded.into_accel(), Some(summary))
+            } else {
+                let accel =
+                    AccelStruct::build(&scene, config.primitive, config.two_level, &config.layout);
+                (accel, None)
+            };
+            current = Some((scene, accel, sharding));
+        }
+        let (scene, accel, sharding) = current.as_ref().expect("frame 0 supplies a scene");
+        results.push(FrameResult {
+            index,
+            gaussians: scene.len(),
+            rebuilt,
+            reports: engine.render_batch(
+                accel,
+                scene,
+                &spec.cameras,
+                config.effects.as_ref(),
+                &config.render,
+            ),
+            size: *accel.size_report(),
+            height: accel.height(),
+            sharding: sharding.clone(),
+        });
+    }
+    results
 }
 
 fn assert_frames_identical(label: &str, a: &[FrameResult], b: &[FrameResult]) {
@@ -65,7 +122,7 @@ fn assert_frames_identical(label: &str, a: &[FrameResult], b: &[FrameResult]) {
 }
 
 /// Orbit (rebuild-free) and jitter (rebuild-heavy) streams are
-/// bit-identical to the sequential path across the full depth × threads
+/// bit-identical to the sequential oracle across the full depth × threads
 /// × shards grid.
 #[test]
 fn stream_matches_sequential_across_depths_threads_and_shards() {
@@ -75,7 +132,7 @@ fn stream_matches_sequential_across_depths_threads_and_shards() {
     let sources: [(&str, &dyn FrameSource); 2] = [("orbit", &orbit), ("jitter", &jitter)];
     for (name, source) in sources {
         for shards in [1usize, 4] {
-            let reference = run_sequential(
+            let reference = sequential_oracle(
                 source,
                 4,
                 &StreamConfig {

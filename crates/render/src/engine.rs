@@ -312,31 +312,10 @@ impl RenderEngine {
             validate_camera(camera)?;
         }
         scene.validate()?;
-        Ok(self.render_batch_keyed(0, accel, scene, cameras, effects, config))
-    }
-
-    /// [`Self::render_batch`] with an explicit profiler key base: camera
-    /// `c` profiles under launch key `base_key + c`.
-    ///
-    /// Callers that drive many batches through one engine pick
-    /// non-overlapping bases so launches stay separable in profile
-    /// exports — the frame pipeline passes `frame << 32`, matching the
-    /// `(frame << 32) | camera` keys of its task-graph path so both
-    /// paths emit byte-identical profiles. Rendering itself ignores the
-    /// key entirely.
-    pub fn render_batch_keyed(
-        &self,
-        base_key: u64,
-        accel: &AccelStruct,
-        scene: &GaussianScene,
-        cameras: &[Camera],
-        effects: Option<&EffectObjects>,
-        config: &RenderConfig,
-    ) -> Vec<RenderReport> {
         if cameras.is_empty() {
             // An empty batch renders nothing: no planning, no worker
             // fan-out, no reports.
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let warp_size = self.gpu.warp_size.max(1);
         let num_sms = self.gpu.num_sms.max(1);
@@ -429,7 +408,7 @@ impl RenderEngine {
         // merge launch-locally, which holds identical values.
         let mut outcomes = outcomes.into_iter();
         let mut merge_recorder = self.telemetry.recorder("render-merge");
-        launches
+        Ok(launches
             .iter()
             .zip(cameras)
             .enumerate()
@@ -446,11 +425,11 @@ impl RenderEngine {
                         &schedule,
                         mine,
                         &self.profiler,
-                        base_key + cam as u64,
+                        cam as u64,
                     )
                 })
             })
-            .collect()
+            .collect())
     }
 
     /// Plans one camera's raygen launch: pixels partition into primary
