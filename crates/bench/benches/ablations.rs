@@ -27,17 +27,19 @@ fn main() {
     );
     for setup in &scenes {
         for variant in [PipelineVariant::baseline(), PipelineVariant::grtx()] {
-            let on = setup.run(&variant, &RunOptions::default());
-            let off = setup.run(
-                &variant,
-                &RunOptions {
-                    gpu: GpuConfig {
-                        sibling_prefetch: false,
+            let on = setup.try_run(&variant, &RunOptions::default()).unwrap();
+            let off = setup
+                .try_run(
+                    &variant,
+                    &RunOptions {
+                        gpu: GpuConfig {
+                            sibling_prefetch: false,
+                            ..Default::default()
+                        },
                         ..Default::default()
                     },
-                    ..Default::default()
-                },
-            );
+                )
+                .unwrap();
             println!(
                 "{:<8} {:<10} {:>10.3} {:>10.3} {:>9.3} {:>9.3}",
                 setup.kind.name(),
@@ -57,13 +59,15 @@ fn main() {
     );
     for setup in &scenes {
         for variant in [PipelineVariant::baseline(), PipelineVariant::grtx_sw()] {
-            let scaled = setup.run(&variant, &RunOptions::default());
+            let scaled = setup.try_run(&variant, &RunOptions::default()).unwrap();
             // Re-run against an unscaled-cache setup of the same scene.
             let unscaled_setup = SceneSetup {
                 divisor: 1,
                 ..clone_setup(setup)
             };
-            let unscaled = unscaled_setup.run(&variant, &RunOptions::default());
+            let unscaled = unscaled_setup
+                .try_run(&variant, &RunOptions::default())
+                .unwrap();
             println!(
                 "{:<8} {:<10} {:>12.3} {:>14.3}",
                 setup.kind.name(),
@@ -89,8 +93,8 @@ fn main() {
                 gpu,
                 ..Default::default()
             };
-            let base = setup.run(&PipelineVariant::baseline(), &opts);
-            let grtx = setup.run(&PipelineVariant::grtx(), &opts);
+            let base = setup.try_run(&PipelineVariant::baseline(), &opts).unwrap();
+            let grtx = setup.try_run(&PipelineVariant::grtx(), &opts).unwrap();
             speedups.push(base.report.time_ms / grtx.report.time_ms);
         }
         println!(

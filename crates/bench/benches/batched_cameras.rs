@@ -1,5 +1,5 @@
 //! Scaling: batched multi-camera rendering. Tracks one shared-structure
-//! `render_batch` fan-out against sequential per-view renders — with and
+//! `try_render_batch` fan-out against sequential per-view renders — with and
 //! without rebuilding the acceleration structure per view — at view
 //! counts 1/4/16 and 1×/4× scene scale. This is the build-amortization
 //! story behind the ROADMAP's many-views-per-scene serving goal; batch
@@ -51,7 +51,9 @@ fn main() {
 
             // Batched: one shared structure, one fan-out over all views.
             let start = Instant::now();
-            let batch = setup.run_batch_with_accel(&accel, &variant, &opts, &cameras);
+            let batch = setup
+                .try_run_batch_with_accel(&accel, &variant, &opts, &cameras)
+                .unwrap();
             let batch_ms = start.elapsed().as_secs_f64() * 1e3;
             assert_eq!(batch.len(), views);
 
@@ -60,12 +62,14 @@ fn main() {
             let start = Instant::now();
             for camera in &cameras {
                 let per_view = setup.build_accel(&variant, &layout);
-                let result = setup.run_batch_with_accel(
-                    &per_view,
-                    &variant,
-                    &opts,
-                    std::slice::from_ref(camera),
-                );
+                let result = setup
+                    .try_run_batch_with_accel(
+                        &per_view,
+                        &variant,
+                        &opts,
+                        std::slice::from_ref(camera),
+                    )
+                    .unwrap();
                 assert_eq!(result.len(), 1);
             }
             let seq_build_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -74,12 +78,9 @@ fn main() {
             // warm-up amortization from the build amortization.
             let start = Instant::now();
             for camera in &cameras {
-                let result = setup.run_batch_with_accel(
-                    &accel,
-                    &variant,
-                    &opts,
-                    std::slice::from_ref(camera),
-                );
+                let result = setup
+                    .try_run_batch_with_accel(&accel, &variant, &opts, std::slice::from_ref(camera))
+                    .unwrap();
                 assert_eq!(result.len(), 1);
             }
             let seq_shared_ms = start.elapsed().as_secs_f64() * 1e3;

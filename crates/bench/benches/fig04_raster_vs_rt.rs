@@ -4,7 +4,7 @@
 
 use grtx::{PipelineVariant, RunOptions};
 use grtx_bench::{banner, evaluation_scenes, geomean};
-use grtx_render::{render_rasterized, RasterConfig};
+use grtx_render::{try_render_rasterized, RasterConfig};
 use grtx_sim::GpuConfig;
 
 fn main() {
@@ -23,13 +23,14 @@ fn main() {
     let mut ratios = Vec::new();
     let mut rt_reports = Vec::new();
     for setup in &scenes {
-        let raster = render_rasterized(
+        let raster = try_render_rasterized(
             &setup.scene,
             &setup.camera,
             &RasterConfig::default(),
             &GpuConfig::default().with_cache_scale(setup.divisor),
-        );
-        let rt = setup.run(&baseline, &RunOptions::default());
+        )
+        .unwrap();
+        let rt = setup.try_run(&baseline, &RunOptions::default()).unwrap();
         let ratio = rt.report.time_ms / raster.time_ms;
         ratios.push(ratio);
         println!(
@@ -49,23 +50,27 @@ fn main() {
         "scene", "traversal", "+sorting", "+sorting+blending"
     );
     for setup in &scenes {
-        let traversal = setup.run(
-            &baseline,
-            &RunOptions {
-                charge_sorting: false,
-                charge_blending: false,
-                ..Default::default()
-            },
-        );
-        let sorting = setup.run(
-            &baseline,
-            &RunOptions {
-                charge_sorting: true,
-                charge_blending: false,
-                ..Default::default()
-            },
-        );
-        let full = setup.run(&baseline, &RunOptions::default());
+        let traversal = setup
+            .try_run(
+                &baseline,
+                &RunOptions {
+                    charge_sorting: false,
+                    charge_blending: false,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let sorting = setup
+            .try_run(
+                &baseline,
+                &RunOptions {
+                    charge_sorting: true,
+                    charge_blending: false,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let full = setup.try_run(&baseline, &RunOptions::default()).unwrap();
         // Per-round time: divide by the average number of rounds.
         let rounds =
             (full.report.stats.rounds as f64 / full.report.stats.rays.max(1) as f64).max(1.0);

@@ -18,8 +18,10 @@ fn main() {
         "scene", "ico time(ms)", "custom(ms)", "ico BVH(paper-scale)", "custom BVH"
     );
     for setup in &scenes {
-        let ico = setup.run(&PipelineVariant::baseline(), &opts);
-        let custom = setup.run(&PipelineVariant::custom_primitive(), &opts);
+        let ico = setup.try_run(&PipelineVariant::baseline(), &opts).unwrap();
+        let custom = setup
+            .try_run(&PipelineVariant::custom_primitive(), &opts)
+            .unwrap();
         let f = ico.scale_factor;
         println!(
             "{:<11} {:>14.3} {:>14.3} {:>16} {:>16}",

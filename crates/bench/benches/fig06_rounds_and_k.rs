@@ -34,15 +34,19 @@ fn main() {
     );
     for setup in &scenes {
         let accel = setup.build_accel(&baseline, &LayoutConfig::default());
-        let multi = setup.run_with_accel(&accel, &baseline, &RunOptions::default());
-        let single = setup.run_with_accel(
-            &accel,
-            &baseline,
-            &RunOptions {
-                single_round: true,
-                ..Default::default()
-            },
-        );
+        let multi = setup
+            .try_run_with_accel(&accel, &baseline, &RunOptions::default())
+            .unwrap();
+        let single = setup
+            .try_run_with_accel(
+                &accel,
+                &baseline,
+                &RunOptions {
+                    single_round: true,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         println!(
             "{:<11} {:>16.3} {:>16.3}",
             setup.kind.name(),
@@ -62,14 +66,16 @@ fn main() {
         let accel = setup.build_accel(&baseline, &LayoutConfig::default());
         print!("{:<11}", setup.kind.name());
         for k in ks {
-            let r = setup.run_with_accel(
-                &accel,
-                &baseline,
-                &RunOptions {
-                    k,
-                    ..Default::default()
-                },
-            );
+            let r = setup
+                .try_run_with_accel(
+                    &accel,
+                    &baseline,
+                    &RunOptions {
+                        k,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
             print!(" {:>9.3}", r.report.time_ms);
         }
         println!();

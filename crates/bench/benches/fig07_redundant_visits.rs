@@ -17,7 +17,7 @@ fn main() {
         "scene", "uniq-internal", "uniq-leaf", "total-internal", "total-leaf", "redundancy"
     );
     for setup in &scenes {
-        let r = setup.run(&PipelineVariant::baseline(), &opts);
+        let r = setup.try_run(&PipelineVariant::baseline(), &opts).unwrap();
         let s = &r.report.stats;
         let uniq_leaf = s.node_fetches_unique - s.internal_fetches_unique;
         let total_leaf = s.node_fetches_total - s.internal_fetches_total;

@@ -25,7 +25,10 @@ fn main() {
     println!("   (speedup over 20-tri)");
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
     for setup in &scenes {
-        let results: Vec<_> = variants.iter().map(|v| setup.run(v, &opts)).collect();
+        let results: Vec<_> = variants
+            .iter()
+            .map(|v| setup.try_run(v, &opts).unwrap())
+            .collect();
         let base_ms = results[0].report.time_ms;
         print!("{:<11}", setup.kind.name());
         for (i, r) in results.iter().enumerate() {

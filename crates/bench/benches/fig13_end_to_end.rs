@@ -22,7 +22,10 @@ fn main() {
         "scene", "variant", "time(ms)", "speedup", "fetches", "norm.lat", "L1 rate", "L2 accesses"
     );
     for setup in &scenes {
-        let results: Vec<_> = variants.iter().map(|v| setup.run(v, &opts)).collect();
+        let results: Vec<_> = variants
+            .iter()
+            .map(|v| setup.try_run(v, &opts).unwrap())
+            .collect();
         let base = &results[0].report;
         for (i, (variant, res)) in variants.iter().zip(&results).enumerate() {
             let r = &res.report;

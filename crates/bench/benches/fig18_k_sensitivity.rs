@@ -22,7 +22,7 @@ fn main() {
             .iter()
             .map(|&k| {
                 setup
-                    .run_with_accel(
+                    .try_run_with_accel(
                         &accel,
                         &grtx,
                         &RunOptions {
@@ -30,6 +30,7 @@ fn main() {
                             ..Default::default()
                         },
                     )
+                    .unwrap()
                     .report
                     .time_ms
             })

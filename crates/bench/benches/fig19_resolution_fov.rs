@@ -40,7 +40,7 @@ fn main() {
             let setup = SceneSetup::from_profile(kind, profile, divisor, BENCH_SEED);
             let results: Vec<_> = fig13_variants()
                 .iter()
-                .map(|v| setup.run(v, &opts))
+                .map(|v| setup.try_run(v, &opts).unwrap())
                 .collect();
             let base_ms = results[0].report.time_ms;
             for (v, r) in fig13_variants().iter().zip(&results) {

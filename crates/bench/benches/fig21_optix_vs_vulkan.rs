@@ -28,8 +28,8 @@ fn main() {
         "scene", "OptiX(ms)", "Vulkan(ms)", "ratio"
     );
     for setup in &scenes {
-        let o = setup.run(&baseline, &optix);
-        let v = setup.run(&baseline, &vulkan);
+        let o = setup.try_run(&baseline, &optix).unwrap();
+        let v = setup.try_run(&baseline, &vulkan).unwrap();
         println!(
             "{:<11} {:>11.3} {:>11.3} {:>8.3}",
             setup.kind.name(),

@@ -20,8 +20,10 @@ fn main() {
     );
     let mut speedups = Vec::new();
     for setup in &scenes {
-        let base = setup.run(&PipelineVariant::baseline(), &opts);
-        let sphere = setup.run(&PipelineVariant::grtx_sw_sphere(), &opts);
+        let base = setup.try_run(&PipelineVariant::baseline(), &opts).unwrap();
+        let sphere = setup
+            .try_run(&PipelineVariant::grtx_sw_sphere(), &opts)
+            .unwrap();
         let s = base.report.time_ms / sphere.report.time_ms;
         speedups.push(s);
         println!(

@@ -23,8 +23,8 @@ fn main() {
     let mut prim_speedups = Vec::new();
     let mut sec_speedups = Vec::new();
     for setup in &scenes {
-        let base = setup.run(&PipelineVariant::baseline(), &opts);
-        let hw = setup.run(&PipelineVariant::grtx_hw(), &opts);
+        let base = setup.try_run(&PipelineVariant::baseline(), &opts).unwrap();
+        let hw = setup.try_run(&PipelineVariant::grtx_hw(), &opts).unwrap();
         match (&base.report.secondary, &hw.report.secondary) {
             (Some(b), Some(h)) => {
                 let ps = b.primary_cycles as f64 / h.primary_cycles.max(1) as f64;

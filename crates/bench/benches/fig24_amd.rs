@@ -49,7 +49,7 @@ fn main() {
             if full_size > VULKAN_BUFFER_LIMIT {
                 times.push(None);
             } else {
-                let r = setup.run_with_accel(&accel, v, &opts);
+                let r = setup.try_run_with_accel(&accel, v, &opts).unwrap();
                 times.push(Some(r.report.time_ms));
             }
         }

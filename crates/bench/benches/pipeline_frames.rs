@@ -37,13 +37,17 @@ fn main() {
 
                 // Overlapped: up to three frames in flight.
                 let start = Instant::now();
-                let stream = setup.run_stream(&source, frames, &variant, &options, 3);
+                let stream = setup
+                    .try_run_stream(&source, frames, &variant, &options, 3)
+                    .unwrap();
                 let stream_ms = start.elapsed().as_secs_f64() * 1e3;
                 assert_eq!(stream.len(), frames);
 
                 // One at a time: the same frames at depth 1.
                 let start = Instant::now();
-                let seq = setup.run_stream(&source, frames, &variant, &options, 1);
+                let seq = setup
+                    .try_run_stream(&source, frames, &variant, &options, 1)
+                    .unwrap();
                 let seq_ms = start.elapsed().as_secs_f64() * 1e3;
                 assert_eq!(seq.len(), frames);
 

@@ -49,7 +49,9 @@ fn main() {
         // serial structure, so one measurement covers them all).
         let sharded = last.expect("at least one shard count");
         let render_start = Instant::now();
-        let result = setup.run_with_accel(sharded.accel(), &variant, &RunOptions::default());
+        let result = setup
+            .try_run_with_accel(sharded.accel(), &variant, &RunOptions::default())
+            .unwrap();
         let render_ms = render_start.elapsed().as_secs_f64() * 1e3;
         assert!(result.report.cycles > 0);
 

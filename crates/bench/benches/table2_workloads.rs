@@ -16,8 +16,8 @@ fn main() {
         "scene", "#gauss", "height", "BVH 20-tri", "TLAS+20-tri", "fp 20-tri", "fp TLAS+20-tri"
     );
     for setup in &scenes {
-        let mono = setup.run(&PipelineVariant::baseline(), &opts);
-        let tlas = setup.run(&PipelineVariant::grtx_sw(), &opts);
+        let mono = setup.try_run(&PipelineVariant::baseline(), &opts).unwrap();
+        let tlas = setup.try_run(&PipelineVariant::grtx_sw(), &opts).unwrap();
         let f = mono.scale_factor;
         println!(
             "{:<11} {:>10} {:>8} {:>12} {:>14} {:>12} {:>14}",

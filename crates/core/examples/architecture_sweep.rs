@@ -29,7 +29,7 @@ fn main() {
         );
         let mut base_ms = None;
         for variant in &variants {
-            let r = setup.run(variant, &RunOptions::default());
+            let r = setup.try_run(variant, &RunOptions::default()).unwrap();
             let base = *base_ms.get_or_insert(r.report.time_ms);
             println!(
                 "{:<16} {:>9.3} {:>9.2} {:>10} {:>8.2} {:>9.2}",
@@ -44,13 +44,15 @@ fn main() {
 
         println!("GRTX k-sweep:");
         for k in [4usize, 8, 16, 32] {
-            let r = setup.run(
-                &PipelineVariant::grtx(),
-                &RunOptions {
-                    k,
-                    ..Default::default()
-                },
-            );
+            let r = setup
+                .try_run(
+                    &PipelineVariant::grtx(),
+                    &RunOptions {
+                        k,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
             println!(
                 "  k={k:<3} {:>9.3} ms ({:.1} rounds/ray)",
                 r.report.time_ms,

@@ -22,6 +22,7 @@ use grtx::{
     PipelineVariant, RetryPolicy, RunOptions, SceneSetup, StreamFrame, Telemetry,
 };
 use grtx_scene::SceneKind;
+use grtx_telemetry::escape_json;
 use std::path::PathBuf;
 
 /// Pinned scatter seed — the report is reproducible byte for byte.
@@ -115,7 +116,7 @@ fn main() -> std::io::Result<()> {
             Some(error) => format!(
                 "{{\"index\": {}, \"status\": \"failed\", \"error\": \"{}\"}}",
                 frame.index(),
-                escape(&error.to_string()),
+                escape_json(&error.to_string()),
             ),
             None => format!(
                 "{{\"index\": {}, \"status\": \"rendered\", \"rebuilt\": {}}}",
@@ -179,16 +180,4 @@ fn results_identical((a, b): (&ExperimentResult, &ExperimentResult)) -> bool {
         && a.report.stats == b.report.stats
         && a.size == b.size
         && a.height == b.height
-}
-
-/// Minimal JSON string escaping for error messages.
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
 }

@@ -46,9 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The rasterizer cannot express the fisheye projection at all: the
-    // fallible API reports the rejection as a typed error instead of a
-    // panic to catch.
+    // The rasterizer cannot express the fisheye projection at all and
+    // rejects the camera with a typed error.
     let fisheye = Camera::look_at(
         64,
         64,

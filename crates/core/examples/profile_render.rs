@@ -36,7 +36,9 @@ fn main() -> std::io::Result<()> {
     // and reused structures; depth 3 exercises the task-graph path the
     // profiler must stay order-independent under.
     let source = setup.jitter_source(0.05, 2);
-    let frames = setup.run_stream(&source, 6, &PipelineVariant::grtx(), &options, 3);
+    let frames = setup
+        .try_run_stream(&source, 6, &PipelineVariant::grtx(), &options, 3)
+        .unwrap();
     assert_eq!(frames.len(), 6, "stream must deliver every frame");
 
     grtx::write_profile(&profiler, &trace_path)?;

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for variant in [PipelineVariant::baseline(), PipelineVariant::grtx()] {
-        let result = setup.run(&variant, &RunOptions::default());
+        let result = setup.try_run(&variant, &RunOptions::default())?;
         let r = &result.report;
         println!(
             "{:<9} time {:7.3} ms | node fetches {:>9} | L1 {:.2} | BVH {:.1} MB",

@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("scene: {} + glass sphere + mirror quad", setup.kind);
     for variant in [PipelineVariant::baseline(), PipelineVariant::grtx_hw()] {
-        let result = setup.run(&variant, &opts);
+        let result = setup.try_run(&variant, &opts)?;
         let r = &result.report;
         match &r.secondary {
             Some(s) => println!(

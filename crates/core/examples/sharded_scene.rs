@@ -82,9 +82,13 @@ fn main() {
 
     // Render both ways and compare reports.
     let opts = RunOptions::default();
-    let unsharded_report = setup.run_with_accel(&serial, &variant, &opts).report;
+    let unsharded_report = setup
+        .try_run_with_accel(&serial, &variant, &opts)
+        .unwrap()
+        .report;
     let sharded_report = setup
-        .run_with_accel(sharded.accel(), &variant, &opts)
+        .try_run_with_accel(sharded.accel(), &variant, &opts)
+        .unwrap()
         .report;
     let identical = unsharded_report.image.pixels() == sharded_report.image.pixels()
         && unsharded_report.cycles == sharded_report.cycles

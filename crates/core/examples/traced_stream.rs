@@ -35,7 +35,9 @@ fn main() -> std::io::Result<()> {
     // Jitter every 2nd frame: half the stream rebuilds the sharded
     // structure, the other half exercises the rebuild-skip path.
     let source = setup.jitter_source(0.05, 2);
-    let frames = setup.run_stream(&source, 6, &PipelineVariant::grtx(), &options, 3);
+    let frames = setup
+        .try_run_stream(&source, 6, &PipelineVariant::grtx(), &options, 3)
+        .unwrap();
     assert_eq!(frames.len(), 6, "stream must deliver every frame");
 
     grtx::write_trace(&telemetry, &trace_path)?;

@@ -133,7 +133,7 @@ pub struct RunOptions {
     /// for Fig. 24).
     pub gpu: GpuConfig,
     /// Structure byte layout (NVIDIA-like default, `LayoutConfig::amd()`
-    /// for Fig. 24). Applied at build time via [`SceneSetup::run`].
+    /// for Fig. 24). Applied at build time via [`SceneSetup::try_run`].
     pub layout_amd: bool,
     /// Charge any-hit sorting cycles (Fig. 4b isolation).
     pub charge_sorting: bool,
@@ -227,7 +227,7 @@ pub struct ExperimentResult {
     pub sharding: Option<ShardingSummary>,
 }
 
-/// One frame of a [`SceneSetup::run_stream`] frame stream, in frame
+/// One frame of a [`SceneSetup::try_run_stream`] frame stream, in frame
 /// order. Frames with an invalid camera or scene come back
 /// [`StreamFrame::Failed`] under every [`RunOptions::retry`] policy; a
 /// quarantining policy also surfaces frames whose stage tasks exhausted
@@ -245,7 +245,7 @@ pub enum StreamFrame {
         /// and the previous frame's structure was reused).
         rebuilt: bool,
         /// One result per camera, in view order — each bit-identical to
-        /// the corresponding [`SceneSetup::run_batch`] row for that
+        /// the corresponding [`SceneSetup::try_run_batch`] row for that
         /// frame.
         results: Vec<ExperimentResult>,
     },
@@ -466,9 +466,10 @@ impl SceneSetup {
     }
 
     /// Validates the inputs a run of `(variant, options, cameras)` would
-    /// consume: the GPU shape, the render configuration, every camera,
-    /// and the scene (non-finite Gaussian parameters would otherwise
-    /// corrupt bounds silently).
+    /// consume: the GPU shape, the render configuration, the
+    /// primitive/organization pair, every camera, and the scene
+    /// (non-finite Gaussian parameters would otherwise corrupt bounds
+    /// silently).
     fn validate_run(
         &self,
         variant: &PipelineVariant,
@@ -477,56 +478,41 @@ impl SceneSetup {
     ) -> Result<(), GrtxError> {
         grtx_render::validate_gpu(&options.gpu)?;
         grtx_render::validate_render(&Self::render_config(variant, options))?;
+        grtx_render::validate_structure(variant.primitive, variant.two_level)?;
         for camera in cameras {
             grtx_render::validate_camera(camera)?;
         }
         self.scene.validate()
     }
 
-    /// Fallible [`Self::run`]: validates the GPU shape, camera, and
-    /// scene up front, returning a typed [`GrtxError`] instead of
-    /// panicking (or silently rendering garbage from non-finite
-    /// Gaussians). A passing run is bit-identical to [`Self::run`].
+    /// Runs one full simulated render of the evaluation camera for
+    /// `(variant, options)`: [`Self::try_run_batch`] over that one
+    /// camera.
     pub fn try_run(
         &self,
         variant: &PipelineVariant,
         options: &RunOptions,
     ) -> Result<ExperimentResult, GrtxError> {
-        self.validate_run(variant, options, std::slice::from_ref(&self.camera))?;
-        Ok(self.run(variant, options))
+        let mut results =
+            self.try_run_batch(variant, options, std::slice::from_ref(&self.camera))?;
+        Ok(results.pop().expect("one camera yields one result"))
     }
 
-    /// Fallible [`Self::run_batch`]: validates the GPU shape, every
-    /// camera, and the scene up front. A passing batch is bit-identical
-    /// to [`Self::run_batch`].
-    pub fn try_run_batch(
-        &self,
-        variant: &PipelineVariant,
-        options: &RunOptions,
-        cameras: &[Camera],
-    ) -> Result<Vec<ExperimentResult>, GrtxError> {
-        self.validate_run(variant, options, cameras)?;
-        Ok(self.run_batch(variant, options, cameras))
-    }
-
-    /// Runs one full simulated render for `(variant, options)`.
-    pub fn run(&self, variant: &PipelineVariant, options: &RunOptions) -> ExperimentResult {
-        self.run_batch(variant, options, std::slice::from_ref(&self.camera))
-            .pop()
-            .expect("one camera yields one result")
-    }
-
-    /// Runs with a pre-built structure (lets benches reuse expensive
-    /// builds across parameter sweeps).
-    pub fn run_with_accel(
+    /// [`Self::try_run`] with a pre-built structure (lets benches reuse
+    /// expensive builds across parameter sweeps).
+    pub fn try_run_with_accel(
         &self,
         accel: &AccelStruct,
         variant: &PipelineVariant,
         options: &RunOptions,
-    ) -> ExperimentResult {
-        self.run_batch_with_accel(accel, variant, options, std::slice::from_ref(&self.camera))
-            .pop()
-            .expect("one camera yields one result")
+    ) -> Result<ExperimentResult, GrtxError> {
+        let mut results = self.try_run_batch_with_accel(
+            accel,
+            variant,
+            options,
+            std::slice::from_ref(&self.camera),
+        )?;
+        Ok(results.pop().expect("one camera yields one result"))
     }
 
     /// Renders `cameras` views of this scene in one batched engine
@@ -534,18 +520,25 @@ impl SceneSetup {
     /// (sharded when [`RunOptions::shards`] > 0, in which case every
     /// view's result carries the same sharding summary).
     ///
+    /// Validates the GPU shape, the render configuration, the
+    /// primitive/organization pair, every camera, and the scene before
+    /// building anything, returning a typed [`GrtxError`] instead of
+    /// panicking (or silently rendering garbage from non-finite
+    /// Gaussians).
+    ///
     /// Returns one [`ExperimentResult`] per view, in camera order; each
-    /// view's report is bit-identical to a standalone
-    /// [`Self::run`]-style render of that camera.
-    pub fn run_batch(
+    /// view's report is bit-identical to a standalone [`Self::try_run`]
+    /// render of that camera. Sweep views with [`Self::orbit_cameras`].
+    pub fn try_run_batch(
         &self,
         variant: &PipelineVariant,
         options: &RunOptions,
         cameras: &[Camera],
-    ) -> Vec<ExperimentResult> {
+    ) -> Result<Vec<ExperimentResult>, GrtxError> {
+        self.validate_run(variant, options, cameras)?;
         if cameras.is_empty() {
             // A view-less batch renders nothing — and builds nothing.
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let layout = Self::layout(options);
         if options.shards > 0 {
@@ -556,49 +549,41 @@ impl SceneSetup {
                 options.threads,
                 &options.telemetry,
             );
-            let mut results = self.run_batch_with_accel(sharded.accel(), variant, options, cameras);
+            let mut results =
+                self.try_run_batch_with_accel(sharded.accel(), variant, options, cameras)?;
             for result in &mut results {
                 result.sharding = Some(sharded.summary());
             }
-            results
+            Ok(results)
         } else {
             let accel = self.build_accel(variant, &layout);
-            self.run_batch_with_accel(&accel, variant, options, cameras)
+            self.try_run_batch_with_accel(&accel, variant, options, cameras)
         }
     }
 
-    /// [`Self::run_batch`] with a pre-built structure (lets benches
-    /// reuse expensive builds across view-count sweeps).
-    pub fn run_batch_with_accel(
+    /// [`Self::try_run_batch`] with a pre-built structure (lets benches
+    /// reuse expensive builds across view-count sweeps): the one body
+    /// every run shares. Input errors come from
+    /// [`RenderEngine::try_render_batch`].
+    pub fn try_run_batch_with_accel(
         &self,
         accel: &AccelStruct,
         variant: &PipelineVariant,
         options: &RunOptions,
         cameras: &[Camera],
-    ) -> Vec<ExperimentResult> {
+    ) -> Result<Vec<ExperimentResult>, GrtxError> {
         let config = Self::render_config(variant, options);
         let gpu = options.gpu.clone().with_cache_scale(self.divisor);
         let effects = self.effects(options);
-        RenderEngine::new(gpu)
+        let reports = RenderEngine::new(gpu)
             .with_threads(options.threads)
             .with_telemetry(options.telemetry.clone())
             .with_profiler(options.profiler.clone())
-            .render_batch(accel, &self.scene, cameras, effects.as_ref(), &config)
+            .try_render_batch(accel, &self.scene, cameras, effects.as_ref(), &config)?;
+        Ok(reports
             .into_iter()
             .map(|report| self.result_for(accel, report))
-            .collect()
-    }
-
-    /// [`Self::run_batch`] over an [`Self::orbit_cameras`] sweep: the
-    /// `RunOptions`-driven multi-view entry point (threads/shards/k all
-    /// apply batch-wide).
-    pub fn run_views(
-        &self,
-        variant: &PipelineVariant,
-        options: &RunOptions,
-        views: usize,
-    ) -> Vec<ExperimentResult> {
-        self.run_batch(variant, options, &self.orbit_cameras(views))
+            .collect())
     }
 
     /// A copy of this setup rendering a different scene — the per-frame
@@ -616,7 +601,7 @@ impl SceneSetup {
 
     /// The [`StreamConfig`] equivalent of `(variant, options)`: a
     /// pipelined frame of this configuration simulates exactly what a
-    /// per-frame [`Self::run_batch`] would.
+    /// per-frame [`Self::try_run_batch`] would.
     fn stream_config(
         &self,
         variant: &PipelineVariant,
@@ -674,28 +659,17 @@ impl SceneSetup {
     ///
     /// Frames arrive in strict frame order, and every frame's images,
     /// cycles, and statistics are **bit-identical** to a sequential
-    /// per-frame [`Self::run_batch`] of the same scene and cameras — at
-    /// any depth, thread count, and shard count. Every depth runs on the
-    /// pipeline's one task-graph executor: `depth ≤ 1` keeps one frame
-    /// in flight; `depth = 3` reaches the full update(N+2) ∥ build(N+1)
-    /// ∥ render(N) overlap.
-    pub fn run_stream(
-        &self,
-        source: &dyn FrameSource,
-        frames: usize,
-        variant: &PipelineVariant,
-        options: &RunOptions,
-        depth: usize,
-    ) -> Vec<StreamFrame> {
-        self.try_run_stream(source, frames, variant, options, depth)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Self::run_stream`]: validates the configuration up
-    /// front and returns a typed [`GrtxError`] instead of panicking.
-    /// A frame with an invalid camera or scene (or a sceneless frame 0)
-    /// comes back [`StreamFrame::Failed`] under every retry policy, and
-    /// frames reusing its scene fail as [`GrtxError::DependencyFailed`].
+    /// per-frame [`Self::try_run_batch`] of the same scene and cameras —
+    /// at any depth, thread count, and shard count. Every depth runs on
+    /// the pipeline's one task-graph executor: `depth ≤ 1` keeps one
+    /// frame in flight; `depth = 3` reaches the full update(N+2) ∥
+    /// build(N+1) ∥ render(N) overlap.
+    ///
+    /// An invalid configuration returns a typed [`GrtxError`] before any
+    /// frame starts. A frame with an invalid camera or scene (or a
+    /// sceneless frame 0) comes back [`StreamFrame::Failed`] under every
+    /// retry policy, and frames reusing its scene fail as
+    /// [`GrtxError::DependencyFailed`].
     /// Under a quarantining [`RunOptions::retry`] policy, frames whose
     /// stage tasks exhaust their attempts come back as
     /// [`StreamFrame::Failed`] — in frame order, while unaffected frames
@@ -766,7 +740,9 @@ mod tests {
     #[test]
     fn run_produces_consistent_result() {
         let setup = tiny_setup();
-        let r = setup.run(&PipelineVariant::grtx_sw(), &RunOptions::default());
+        let r = setup
+            .try_run(&PipelineVariant::grtx_sw(), &RunOptions::default())
+            .unwrap();
         assert!(r.report.time_ms > 0.0);
         assert!(r.size.total_bytes > 0);
         assert!(r.height >= 2);
@@ -786,7 +762,7 @@ mod tests {
         };
         let images: Vec<_> = PipelineVariant::fig13_lineup()
             .iter()
-            .map(|v| setup.run(v, &opts).report.image)
+            .map(|v| setup.try_run(v, &opts).unwrap().report.image)
             .collect();
         assert_eq!(
             images[0].psnr(&images[2]),
@@ -808,8 +784,8 @@ mod tests {
     fn grtx_beats_baseline_end_to_end() {
         let setup = tiny_setup();
         let opts = RunOptions::default();
-        let base = setup.run(&PipelineVariant::baseline(), &opts);
-        let grtx = setup.run(&PipelineVariant::grtx(), &opts);
+        let base = setup.try_run(&PipelineVariant::baseline(), &opts).unwrap();
+        let grtx = setup.try_run(&PipelineVariant::grtx(), &opts).unwrap();
         assert!(
             grtx.report.time_ms < base.report.time_ms,
             "GRTX {} ms should beat baseline {} ms",
@@ -844,9 +820,11 @@ mod tests {
             ..Default::default()
         };
         let variant = PipelineVariant::grtx();
-        let batch = setup.run_views(&variant, &opts, 2);
+        let batch = setup
+            .try_run_batch(&variant, &opts, &setup.orbit_cameras(2))
+            .unwrap();
         assert_eq!(batch.len(), 2);
-        let standalone = setup.run(&variant, &opts);
+        let standalone = setup.try_run(&variant, &opts).unwrap();
         assert_eq!(
             batch[0].report.image.pixels(),
             standalone.report.image.pixels()
@@ -867,7 +845,9 @@ mod tests {
             shards: 2,
             ..Default::default()
         };
-        let results = setup.run_views(&PipelineVariant::grtx_sw(), &opts, 2);
+        let results = setup
+            .try_run_batch(&PipelineVariant::grtx_sw(), &opts, &setup.orbit_cameras(2))
+            .unwrap();
         for r in &results {
             let sharding = r.sharding.as_ref().expect("sharded run carries summary");
             assert_eq!(sharding.shard_sizes.len(), 2);
@@ -879,10 +859,8 @@ mod tests {
         let setup = tiny_setup();
         assert!(setup.orbit_cameras(0).is_empty());
         assert!(setup
-            .run_views(&PipelineVariant::grtx(), &RunOptions::default(), 0)
-            .is_empty());
-        assert!(setup
-            .run_batch(&PipelineVariant::grtx(), &RunOptions::default(), &[])
+            .try_run_batch(&PipelineVariant::grtx(), &RunOptions::default(), &[])
+            .unwrap()
             .is_empty());
     }
 
@@ -911,7 +889,7 @@ mod tests {
             effects_seed: Some(5),
             ..Default::default()
         };
-        let r = setup.run(&PipelineVariant::baseline(), &opts);
+        let r = setup.try_run(&PipelineVariant::baseline(), &opts).unwrap();
         // Placement is random; either outcome is legal but the run must
         // complete with a valid report.
         assert!(r.report.time_ms > 0.0);

@@ -28,9 +28,10 @@
 //!
 //! // A miniature Train-statistics scene at 32×32 for doc-test speed.
 //! let setup = SceneSetup::evaluation(SceneKind::Train, 2000, 32, 42);
-//! let result = setup.run(&PipelineVariant::grtx(), &RunOptions::default());
+//! let result = setup.try_run(&PipelineVariant::grtx(), &RunOptions::default())?;
 //! assert!(result.report.time_ms > 0.0);
 //! assert!(result.report.image.mean_luminance() > 0.0);
+//! # Ok::<(), grtx::GrtxError>(())
 //! ```
 //!
 //! Many views of one scene batch into a single engine invocation that
@@ -42,8 +43,10 @@
 //! use grtx_scene::SceneKind;
 //!
 //! let setup = SceneSetup::evaluation(SceneKind::Train, 2000, 32, 42);
-//! let views = setup.run_views(&PipelineVariant::grtx(), &RunOptions::default(), 3);
+//! let cameras = setup.orbit_cameras(3);
+//! let views = setup.try_run_batch(&PipelineVariant::grtx(), &RunOptions::default(), &cameras)?;
 //! assert_eq!(views.len(), 3);
+//! # Ok::<(), grtx::GrtxError>(())
 //! ```
 //!
 //! Streams of frames run through the async frame pipeline
@@ -57,9 +60,11 @@
 //!
 //! let setup = SceneSetup::evaluation(SceneKind::Train, 2000, 32, 42);
 //! let source = setup.orbit_source(2, 0.3);
-//! let frames = setup.run_stream(&source, 3, &PipelineVariant::grtx(), &RunOptions::default(), 3);
+//! let options = RunOptions::default();
+//! let frames = setup.try_run_stream(&source, 3, &PipelineVariant::grtx(), &options, 3)?;
 //! assert_eq!(frames.len(), 3);
 //! assert!(frames[0].rebuilt() && !frames[1].rebuilt());
+//! # Ok::<(), grtx::GrtxError>(())
 //! ```
 //!
 //! Faults inject deterministically into a stream and quarantined frames
@@ -77,10 +82,9 @@
 //!     retry: RetryPolicy::resilient(2),
 //!     ..Default::default()
 //! };
-//! let frames = setup
-//!     .try_run_stream(&source, 3, &PipelineVariant::grtx(), &options, 3)
-//!     .unwrap();
+//! let frames = setup.try_run_stream(&source, 3, &PipelineVariant::grtx(), &options, 3)?;
 //! assert!(!frames[0].is_failed() && frames[1].is_failed() && !frames[2].is_failed());
+//! # Ok::<(), grtx::GrtxError>(())
 //! ```
 
 pub mod experiment;
@@ -102,14 +106,14 @@ pub use grtx_fault::{
     FaultSpec, GrtxError, RetryPolicy,
 };
 pub use grtx_pipeline::{
-    run_stream, try_run_stream, FrameOutcome, FrameResult, FrameSource, FrameSpec, JitterSource,
-    OrbitSource, StreamConfig,
+    try_run_stream, FrameOutcome, FrameResult, FrameSource, FrameSpec, JitterSource, OrbitSource,
+    StreamConfig,
 };
 pub use grtx_prof::{ProfReport, Profiler};
 pub use grtx_render::{
-    render_rasterized, Image, RenderConfig, RenderEngine, RenderReport, TraceMode, TraceParams,
+    try_render_rasterized, Image, RenderConfig, RenderEngine, RenderReport, TraceMode, TraceParams,
 };
 pub use grtx_scene::{Camera, CameraModel, EffectObjects, Gaussian, GaussianScene, SceneKind};
-pub use grtx_shard::{ScenePartition, ShardInfo, ShardSpec, ShardedAccel, ShardingSummary};
+pub use grtx_shard::{ShardInfo, ShardedAccel, ShardingSummary};
 pub use grtx_sim::{checkpoint_hw_cost_bytes, GpuConfig};
 pub use grtx_telemetry::{ClockMode, Telemetry, TelemetryReport};

@@ -113,7 +113,7 @@ mod tests {
             profiler: profiler.clone(),
             ..Default::default()
         };
-        setup.run(&PipelineVariant::grtx(), &options);
+        setup.try_run(&PipelineVariant::grtx(), &options).unwrap();
         let dir = std::env::temp_dir().join(format!("grtx-profile-test-{}", std::process::id()));
         let trace_path = dir.join("prof.json");
         write_profile(&profiler, &trace_path).expect("write succeeds");

@@ -1,5 +1,5 @@
 //! The batched multi-camera pipeline's contract through the experiment
-//! layer: `SceneSetup::run_batch` / `run_views` produce per-view results
+//! layer: `SceneSetup::try_run_batch` produces per-view results
 //! bit-identical to standalone runs, at any thread count, with one
 //! shared acceleration-structure build.
 
@@ -24,14 +24,15 @@ fn batched_views_match_standalone_runs_across_threads() {
             threads,
             ..Default::default()
         };
-        let batch = setup.run_batch(&variant, &opts, &cameras);
+        let batch = setup.try_run_batch(&variant, &opts, &cameras).unwrap();
         assert_eq!(batch.len(), cameras.len());
         let accel = setup.build_accel(&variant, &grtx::LayoutConfig::default());
         for (i, (camera, batched)) in cameras.iter().zip(&batch).enumerate() {
             // Standalone render of the same camera via the engine path
             // the experiment layer uses for its evaluation camera.
             let standalone = setup
-                .run_batch_with_accel(&accel, &variant, &opts, std::slice::from_ref(camera))
+                .try_run_batch_with_accel(&accel, &variant, &opts, std::slice::from_ref(camera))
+                .unwrap()
                 .pop()
                 .expect("one camera yields one result");
             let tag = format!("view {i}, {threads} threads");
@@ -72,11 +73,12 @@ fn batch_with_fisheye_view_matches_and_shows_background() {
     );
     let cameras = vec![setup.camera.clone(), fisheye];
     let opts = RunOptions::default();
-    let batch = setup.run_batch(&variant, &opts, &cameras);
+    let batch = setup.try_run_batch(&variant, &opts, &cameras).unwrap();
     // Same fisheye view standalone.
     let accel = setup.build_accel(&variant, &grtx::LayoutConfig::default());
     let standalone = setup
-        .run_batch_with_accel(&accel, &variant, &opts, &cameras[1..])
+        .try_run_batch_with_accel(&accel, &variant, &opts, &cameras[1..])
+        .unwrap()
         .pop()
         .unwrap();
     assert_eq!(
@@ -101,11 +103,12 @@ fn batch_with_effects_matches_standalone() {
         ..Default::default()
     };
     let cameras = setup.orbit_cameras(2);
-    let batch = setup.run_batch(&variant, &opts, &cameras);
+    let batch = setup.try_run_batch(&variant, &opts, &cameras).unwrap();
     let accel = setup.build_accel(&variant, &grtx::LayoutConfig::default());
     for (camera, batched) in cameras.iter().zip(&batch) {
         let standalone = setup
-            .run_batch_with_accel(&accel, &variant, &opts, std::slice::from_ref(camera))
+            .try_run_batch_with_accel(&accel, &variant, &opts, std::slice::from_ref(camera))
+            .unwrap()
             .pop()
             .unwrap();
         assert_eq!(
@@ -117,16 +120,17 @@ fn batch_with_effects_matches_standalone() {
     }
 }
 
-/// The evaluation camera's batched result equals `SceneSetup::run` —
+/// The evaluation camera's batched result equals `SceneSetup::try_run` —
 /// the single-view path and the batch path are the same code.
 #[test]
 fn run_is_the_one_view_batch() {
     let setup = tiny_setup();
     let variant = PipelineVariant::baseline();
     let opts = RunOptions::default();
-    let single = setup.run(&variant, &opts);
+    let single = setup.try_run(&variant, &opts).unwrap();
     let batch = setup
-        .run_batch(&variant, &opts, std::slice::from_ref(&setup.camera))
+        .try_run_batch(&variant, &opts, std::slice::from_ref(&setup.camera))
+        .unwrap()
         .pop()
         .unwrap();
     assert_eq!(single.report.image.pixels(), batch.report.image.pixels());

@@ -1,20 +1,29 @@
-//! `SceneSetup::try_run` turns every degenerate GPU or k-buffer
-//! configuration into a typed `GrtxError::InvalidConfig` before any work
-//! starts — no panic deep inside the cache model or k-buffer, and no
-//! `Ok` carrying an infinite render time. `SceneSetup::try_run_stream`
+//! `SceneSetup::try_run` turns every degenerate GPU, k-buffer, or
+//! primitive/organization configuration into a typed
+//! `GrtxError::InvalidConfig` before any work starts — no panic deep
+//! inside the structure builder, cache model, or k-buffer, no abort on
+//! an impossible allocation, and no `Ok` carrying an infinite render
+//! time. `SceneSetup::try_run_stream`
 //! turns invalid frames into typed per-frame failures the same way.
 
 use grtx::{
-    Camera, CameraModel, FrameSource, FrameSpec, GaussianScene, GpuConfig, GrtxError,
-    PipelineVariant, RetryPolicy, RunOptions, SceneSetup,
+    BoundingPrimitive, Camera, CameraModel, FrameSource, FrameSpec, GaussianScene, GpuConfig,
+    GrtxError, PipelineVariant, RetryPolicy, RunOptions, SceneSetup,
 };
 use grtx_scene::SceneKind;
 use std::sync::Arc;
 
 fn try_run(options: RunOptions) -> Result<grtx::ExperimentResult, GrtxError> {
+    try_run_variant(&PipelineVariant::grtx(), options)
+}
+
+fn try_run_variant(
+    variant: &PipelineVariant,
+    options: RunOptions,
+) -> Result<grtx::ExperimentResult, GrtxError> {
     let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
     setup.try_run(
-        &PipelineVariant::grtx(),
+        variant,
         &RunOptions {
             threads: 1,
             ..options
@@ -25,7 +34,12 @@ fn try_run(options: RunOptions) -> Result<grtx::ExperimentResult, GrtxError> {
 /// Asserts that `try_run` rejects `options` with an `InvalidConfig`
 /// whose reason names `field`.
 fn assert_rejected(field: &str, options: RunOptions) {
-    match try_run(options) {
+    assert_variant_rejected(field, &PipelineVariant::grtx(), options);
+}
+
+/// [`assert_rejected`] for an explicit pipeline variant.
+fn assert_variant_rejected(field: &str, variant: &PipelineVariant, options: RunOptions) {
+    match try_run_variant(variant, options) {
         Err(GrtxError::InvalidConfig { reason }) => {
             assert!(reason.contains(field), "{field}: reason was {reason:?}")
         }
@@ -112,6 +126,100 @@ fn zero_k_is_rejected() {
             ..Default::default()
         },
     );
+}
+
+#[test]
+fn huge_k_is_rejected() {
+    assert_rejected(
+        "k must be",
+        RunOptions {
+            k: 1 << 40,
+            ..Default::default()
+        },
+    );
+}
+
+#[test]
+fn huge_sm_count_is_rejected() {
+    assert_gpu_rejected("num_sms", |gpu| gpu.num_sms = 1 << 40);
+}
+
+#[test]
+fn subnormal_clock_is_rejected() {
+    assert_gpu_rejected("clock_mhz", |gpu| gpu.clock_mhz = f64::MIN_POSITIVE);
+}
+
+/// Hardware unit spheres exist only behind instance transforms.
+fn monolithic_sphere() -> PipelineVariant {
+    PipelineVariant {
+        name: "monolithic sphere",
+        primitive: BoundingPrimitive::UnitSphere,
+        two_level: false,
+        checkpointing: false,
+    }
+}
+
+#[test]
+fn monolithic_unit_spheres_are_rejected() {
+    assert_variant_rejected("unit-sphere", &monolithic_sphere(), RunOptions::default());
+}
+
+/// The configuration checks guard the frame pipeline too: each case is
+/// an `InvalidConfig` before any frame starts, at depth 1 and 3.
+#[test]
+fn streams_reject_out_of_range_configurations() {
+    let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
+    let source = setup.orbit_source(1, 0.3);
+    let gpu = |edit: fn(&mut GpuConfig)| {
+        let mut gpu = GpuConfig::default();
+        edit(&mut gpu);
+        gpu
+    };
+    let cases = [
+        (
+            "k must be",
+            PipelineVariant::grtx(),
+            RunOptions {
+                k: 1 << 40,
+                ..Default::default()
+            },
+        ),
+        (
+            "num_sms",
+            PipelineVariant::grtx(),
+            RunOptions {
+                gpu: gpu(|g| g.num_sms = 1 << 40),
+                ..Default::default()
+            },
+        ),
+        (
+            "clock_mhz",
+            PipelineVariant::grtx(),
+            RunOptions {
+                gpu: gpu(|g| g.clock_mhz = f64::MIN_POSITIVE),
+                ..Default::default()
+            },
+        ),
+        ("unit-sphere", monolithic_sphere(), RunOptions::default()),
+    ];
+    for (field, variant, options) in cases {
+        for depth in [1usize, 3] {
+            let options = RunOptions {
+                threads: 2,
+                ..options.clone()
+            };
+            match setup.try_run_stream(&source, 2, &variant, &options, depth) {
+                Err(GrtxError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(field), "{field}: reason was {reason:?}")
+                }
+                Err(other) => panic!("{field}, depth {depth}: expected InvalidConfig, got {other}"),
+                Ok(frames) => panic!(
+                    "{field}, depth {depth}: expected InvalidConfig, got {} frames",
+                    frames.len()
+                ),
+            }
+        }
+    }
 }
 
 /// Frame 0 is `first`, frame 1 reuses frame 0's scene, and frame 2

@@ -27,13 +27,13 @@ proptest! {
     fn fig13_variants_render_identical_images(seed in 0u64..50, k in 2usize..24) {
         let setup = tiny_setup(seed);
         let opts = RunOptions { k, ..Default::default() };
-        let baseline = setup.run(&PipelineVariant::baseline(), &opts).report.image;
-        let hw = setup.run(&PipelineVariant::grtx_hw(), &opts).report.image;
+        let baseline = setup.try_run(&PipelineVariant::baseline(), &opts).unwrap().report.image;
+        let hw = setup.try_run(&PipelineVariant::grtx_hw(), &opts).unwrap().report.image;
         prop_assert_eq!(baseline.psnr(&hw), f64::INFINITY,
             "GRTX-HW must be bitwise identical to baseline (seed {}, k {})", seed, k);
 
-        let sw = setup.run(&PipelineVariant::grtx_sw(), &opts).report.image;
-        let grtx = setup.run(&PipelineVariant::grtx(), &opts).report.image;
+        let sw = setup.try_run(&PipelineVariant::grtx_sw(), &opts).unwrap().report.image;
+        let grtx = setup.try_run(&PipelineVariant::grtx(), &opts).unwrap().report.image;
         prop_assert_eq!(sw.psnr(&grtx), f64::INFINITY,
             "GRTX must be bitwise identical to GRTX-SW (seed {}, k {})", seed, k);
 
@@ -85,8 +85,16 @@ fn secondary_ray_images_match_between_baseline_and_hw() {
         effects_seed: Some(5),
         ..Default::default()
     };
-    let base = setup.run(&PipelineVariant::baseline(), &opts).report.image;
-    let hw = setup.run(&PipelineVariant::grtx_hw(), &opts).report.image;
+    let base = setup
+        .try_run(&PipelineVariant::baseline(), &opts)
+        .unwrap()
+        .report
+        .image;
+    let hw = setup
+        .try_run(&PipelineVariant::grtx_hw(), &opts)
+        .unwrap()
+        .report
+        .image;
     assert_eq!(
         base.psnr(&hw),
         f64::INFINITY,
@@ -101,11 +109,13 @@ fn sphere_and_custom_primitive_images_match() {
     let setup = tiny_setup(8);
     let opts = RunOptions::default();
     let sphere = setup
-        .run(&PipelineVariant::grtx_sw_sphere(), &opts)
+        .try_run(&PipelineVariant::grtx_sw_sphere(), &opts)
+        .unwrap()
         .report
         .image;
     let custom = setup
-        .run(&PipelineVariant::custom_primitive(), &opts)
+        .try_run(&PipelineVariant::custom_primitive(), &opts)
+        .unwrap()
         .report
         .image;
     let psnr = sphere.psnr(&custom);

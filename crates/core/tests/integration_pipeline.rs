@@ -13,8 +13,8 @@ fn setup(kind: SceneKind) -> SceneSetup {
 fn grtx_sw_shrinks_the_bvh_by_an_order_of_magnitude() {
     let s = setup(SceneKind::Truck);
     let opts = RunOptions::default();
-    let mono = s.run(&PipelineVariant::baseline(), &opts);
-    let tlas = s.run(&PipelineVariant::grtx_sw(), &opts);
+    let mono = s.try_run(&PipelineVariant::baseline(), &opts).unwrap();
+    let tlas = s.try_run(&PipelineVariant::grtx_sw(), &opts).unwrap();
     let ratio = mono.size.total_bytes as f64 / tlas.size.total_bytes as f64;
     assert!(
         ratio > 5.0,
@@ -26,8 +26,8 @@ fn grtx_sw_shrinks_the_bvh_by_an_order_of_magnitude() {
 fn shared_blas_improves_l1_hit_rate() {
     let s = setup(SceneKind::Bonsai);
     let opts = RunOptions::default();
-    let mono = s.run(&PipelineVariant::baseline(), &opts);
-    let tlas = s.run(&PipelineVariant::grtx_sw(), &opts);
+    let mono = s.try_run(&PipelineVariant::baseline(), &opts).unwrap();
+    let tlas = s.try_run(&PipelineVariant::grtx_sw(), &opts).unwrap();
     assert!(
         tlas.report.l1_hit_rate > mono.report.l1_hit_rate,
         "GRTX-SW L1 {:.2} must beat baseline {:.2} (Fig. 16)",
@@ -43,8 +43,8 @@ fn checkpointing_removes_redundant_fetches() {
         k: 8,
         ..Default::default()
     };
-    let base = s.run(&PipelineVariant::baseline(), &opts);
-    let hw = s.run(&PipelineVariant::grtx_hw(), &opts);
+    let base = s.try_run(&PipelineVariant::baseline(), &opts).unwrap();
+    let hw = s.try_run(&PipelineVariant::grtx_hw(), &opts).unwrap();
     assert!(
         hw.report.stats.node_fetches_total < base.report.stats.node_fetches_total,
         "GRTX-HW must fetch fewer nodes (Fig. 14): {} vs {}",
@@ -67,7 +67,12 @@ fn full_grtx_is_the_fastest_variant() {
     let opts = RunOptions::default();
     let times: Vec<(String, f64)> = PipelineVariant::fig13_lineup()
         .iter()
-        .map(|v| (v.name.to_string(), s.run(v, &opts).report.time_ms))
+        .map(|v| {
+            (
+                v.name.to_string(),
+                s.try_run(v, &opts).unwrap().report.time_ms,
+            )
+        })
         .collect();
     let grtx = times.last().unwrap().1;
     for (name, t) in &times[..3] {
@@ -82,8 +87,8 @@ fn full_grtx_is_the_fastest_variant() {
 fn l2_accesses_drop_with_grtx() {
     let s = setup(SceneKind::Playroom);
     let opts = RunOptions::default();
-    let base = s.run(&PipelineVariant::baseline(), &opts);
-    let grtx = s.run(&PipelineVariant::grtx(), &opts);
+    let base = s.try_run(&PipelineVariant::baseline(), &opts).unwrap();
+    let grtx = s.try_run(&PipelineVariant::grtx(), &opts).unwrap();
     assert!(
         grtx.report.l2_accesses < base.report.l2_accesses,
         "Fig. 17: L2 accesses must drop ({} vs {})",
@@ -96,7 +101,9 @@ fn l2_accesses_drop_with_grtx() {
 fn every_scene_profile_renders_nonempty_images() {
     for kind in SceneKind::ALL {
         let s = SceneSetup::evaluation(kind, 2000, 24, 7);
-        let r = s.run(&PipelineVariant::grtx(), &RunOptions::default());
+        let r = s
+            .try_run(&PipelineVariant::grtx(), &RunOptions::default())
+            .unwrap();
         assert!(
             r.report.image.mean_luminance() > 0.0,
             "{kind}: rendered image must not be black"
@@ -124,13 +131,15 @@ fn checkpoint_buffers_stay_bounded() {
     // Denser than the shared `setup`: at divisor 1000 no ray collects
     // more than k = 8 hits in a round, so checkpointing never fires.
     let s = SceneSetup::evaluation(SceneKind::Bonsai, 500, 32, 42);
-    let r = s.run(
-        &PipelineVariant::grtx(),
-        &RunOptions {
-            k: 8,
-            ..Default::default()
-        },
-    );
+    let r = s
+        .try_run(
+            &PipelineVariant::grtx(),
+            &RunOptions {
+                k: 8,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     // Fig. 20: buffers are modest; peak occupancy must stay far below the
     // scene's Gaussian count.
     let peak = r.report.stats.peak_checkpoint_entries;

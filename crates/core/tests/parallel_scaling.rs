@@ -16,14 +16,16 @@ fn thread_count_is_invisible_in_every_report_field() {
     let setup = SceneSetup::evaluation(SceneKind::Train, 500, 48, 42);
     let variant = PipelineVariant::grtx();
     let run = |threads: usize| {
-        setup.run(
-            &variant,
-            &RunOptions {
-                k: 8,
-                threads,
-                ..Default::default()
-            },
-        )
+        setup
+            .try_run(
+                &variant,
+                &RunOptions {
+                    k: 8,
+                    threads,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
     };
     let serial = run(1);
     for threads in [2, 4, 8] {
@@ -58,14 +60,16 @@ fn thread_count_is_invisible_with_secondary_rays() {
     let setup = SceneSetup::evaluation(SceneKind::Room, 1000, 32, 7);
     let variant = PipelineVariant::grtx_hw();
     let run = |threads: usize| {
-        setup.run(
-            &variant,
-            &RunOptions {
-                effects_seed: Some(5),
-                threads,
-                ..Default::default()
-            },
-        )
+        setup
+            .try_run(
+                &variant,
+                &RunOptions {
+                    effects_seed: Some(5),
+                    threads,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
     };
     let serial = run(1);
     let parallel = run(4);
@@ -106,7 +110,7 @@ fn four_threads_speed_up_train_128() {
         let mut best = f64::INFINITY;
         for _ in 0..2 {
             let start = Instant::now();
-            let result = setup.run_with_accel(&accel, &variant, &opts);
+            let result = setup.try_run_with_accel(&accel, &variant, &opts).unwrap();
             best = best.min(start.elapsed().as_secs_f64());
             assert!(result.report.cycles > 0);
         }

@@ -1,6 +1,6 @@
 //! The frame pipeline's end-to-end contract: every frame coming out of
-//! `SceneSetup::run_stream` is bit-identical — images, cycles, all
-//! statistics, structure accounting — to running `SceneSetup::run_batch`
+//! `SceneSetup::try_run_stream` is bit-identical — images, cycles, all
+//! statistics, structure accounting — to running `SceneSetup::try_run_batch`
 //! sequentially per frame, across pipeline depths {1, 2, 3}, shards
 //! {1, 4}, and threads {1, 4}, with results delivered in strict frame
 //! order.
@@ -14,7 +14,7 @@ fn tiny_setup() -> SceneSetup {
     SceneSetup::evaluation(SceneKind::Room, 2000, 24, 11)
 }
 
-/// The sequential oracle: one `run_batch` per frame, resolving the
+/// The sequential oracle: one `try_run_batch` per frame, resolving the
 /// source's scene chain by hand.
 fn sequential_frames(
     setup: &SceneSetup,
@@ -33,7 +33,8 @@ fn sequential_frames(
             let frame_scene = scene.clone().expect("frame 0 supplies a scene");
             setup
                 .with_scene((*frame_scene).clone())
-                .run_batch(variant, options, &spec.cameras)
+                .try_run_batch(variant, options, &spec.cameras)
+                .unwrap()
         })
         .collect()
 }
@@ -116,7 +117,9 @@ fn orbit_stream_matches_sequential_batches() {
                     threads,
                     ..Default::default()
                 };
-                let stream = setup.run_stream(&source, FRAMES, &variant, &options, depth);
+                let stream = setup
+                    .try_run_stream(&source, FRAMES, &variant, &options, depth)
+                    .unwrap();
                 assert_stream_matches(
                     &format!("orbit, depth {depth}, shards {shards}, threads {threads}"),
                     &stream,
@@ -144,7 +147,9 @@ fn jitter_stream_matches_sequential_batches() {
     };
     let oracle = sequential_frames(&setup, &source, FRAMES, &variant, &options);
     for depth in [1usize, 3] {
-        let stream = setup.run_stream(&source, FRAMES, &variant, &options, depth);
+        let stream = setup
+            .try_run_stream(&source, FRAMES, &variant, &options, depth)
+            .unwrap();
         assert_stream_matches(&format!("jitter, depth {depth}"), &stream, &oracle);
         let rebuilds: Vec<bool> = stream.iter().map(|f| f.rebuilt()).collect();
         assert_eq!(rebuilds, [true, false, true, false], "depth {depth}");
@@ -164,11 +169,14 @@ fn stream_with_effects_matches_sequential_batches() {
         ..Default::default()
     };
     let oracle = sequential_frames(&setup, &source, 2, &variant, &options);
-    let stream = setup.run_stream(&source, 2, &variant, &options, 2);
+    let stream = setup
+        .try_run_stream(&source, 2, &variant, &options, 2)
+        .unwrap();
     assert_stream_matches("effects", &stream, &oracle);
 }
 
-/// Frame 0 of an orbit stream is exactly a `run_views` sweep — the
+/// Frame 0 of an orbit stream is exactly a `try_run_batch` sweep over
+/// `orbit_cameras` — the
 /// stream entry point strictly generalizes the batched one.
 #[test]
 fn orbit_stream_frame_zero_is_run_views() {
@@ -178,8 +186,12 @@ fn orbit_stream_frame_zero_is_run_views() {
         k: 8,
         ..Default::default()
     };
-    let views = setup.run_views(&variant, &options, 2);
-    let stream = setup.run_stream(&setup.orbit_source(2, 0.7), 1, &variant, &options, 3);
+    let views = setup
+        .try_run_batch(&variant, &options, &setup.orbit_cameras(2))
+        .unwrap();
+    let stream = setup
+        .try_run_stream(&setup.orbit_source(2, 0.7), 1, &variant, &options, 3)
+        .unwrap();
     assert_eq!(stream.len(), 1);
     for (got, want) in stream[0].results().iter().zip(&views) {
         assert_eq!(got.report.image.pixels(), want.report.image.pixels());
@@ -225,12 +237,16 @@ fn depth_two_pipeline_beats_sequential_frames() {
     let mut seq_s = f64::INFINITY;
     for _ in 0..2 {
         let start = Instant::now();
-        let frames = setup.run_stream(&source, FRAMES, &variant, &options, 2);
+        let frames = setup
+            .try_run_stream(&source, FRAMES, &variant, &options, 2)
+            .unwrap();
         pipe_s = pipe_s.min(start.elapsed().as_secs_f64());
         assert_eq!(frames.len(), FRAMES);
 
         let start = Instant::now();
-        let frames = setup.run_stream(&source, FRAMES, &variant, &options, 1);
+        let frames = setup
+            .try_run_stream(&source, FRAMES, &variant, &options, 1)
+            .unwrap();
         seq_s = seq_s.min(start.elapsed().as_secs_f64());
         assert_eq!(frames.len(), FRAMES);
     }

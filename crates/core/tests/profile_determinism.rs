@@ -52,11 +52,15 @@ fn render_batch_is_bit_identical_with_profiling_on() {
             profiler: Profiler::enabled(),
             ..off.clone()
         };
-        let plain = setup.run_views(&variant, &off, 2);
-        let profiled = setup.run_views(&variant, &on, 2);
+        let plain = setup
+            .try_run_batch(&variant, &off, &setup.orbit_cameras(2))
+            .unwrap();
+        let profiled = setup
+            .try_run_batch(&variant, &on, &setup.orbit_cameras(2))
+            .unwrap();
         assert_eq!(plain.len(), profiled.len());
         for (a, b) in plain.iter().zip(&profiled) {
-            assert_results_identical(a, b, &format!("render_batch threads={threads}"));
+            assert_results_identical(a, b, &format!("try_run_batch threads={threads}"));
         }
         // The profiled run actually collected the full matrix: one row
         // per (launch, SM), launches keyed by camera index.
@@ -84,10 +88,15 @@ fn run_stream_is_bit_identical_with_profiling_on() {
                     profiler: Profiler::enabled(),
                     ..off.clone()
                 };
-                let what = format!("run_stream depth={depth} threads={threads} shards={shards}");
+                let what =
+                    format!("try_run_stream depth={depth} threads={threads} shards={shards}");
                 let source = setup.jitter_source(0.05, 2);
-                let plain = setup.run_stream(&source, 4, &variant, &off, depth);
-                let profiled = setup.run_stream(&source, 4, &variant, &on, depth);
+                let plain = setup
+                    .try_run_stream(&source, 4, &variant, &off, depth)
+                    .unwrap();
+                let profiled = setup
+                    .try_run_stream(&source, 4, &variant, &on, depth)
+                    .unwrap();
                 assert_eq!(plain.len(), profiled.len(), "{what}: frame count");
                 for (fa, fb) in plain.iter().zip(&profiled) {
                     assert_eq!(fa.index(), fb.index(), "{what}: frame order");
@@ -120,7 +129,9 @@ fn profiled_artifacts_are_byte_identical_across_schedules() {
             ..Default::default()
         };
         let source = setup.jitter_source(0.05, 2);
-        let frames = setup.run_stream(&source, 4, &variant, &options, depth);
+        let frames = setup
+            .try_run_stream(&source, 4, &variant, &options, depth)
+            .unwrap();
         assert_eq!(frames.len(), 4);
         let report = options.profiler.report().expect("enabled handle reports");
         let trace = options
@@ -159,7 +170,9 @@ fn counter_matrix_sums_exactly_to_global_simstats() {
         ..Default::default()
     };
     let source = setup.jitter_source(0.05, 2);
-    let frames = setup.run_stream(&source, 4, &variant, &options, 3);
+    let frames = setup
+        .try_run_stream(&source, 4, &variant, &options, 3)
+        .unwrap();
     let mut global = SimStats::default();
     for frame in &frames {
         for result in frame.results() {
@@ -194,7 +207,7 @@ fn disabled_profiler_adds_no_measurable_overhead() {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let start = Instant::now();
-            let result = setup.run_with_accel(&accel, &variant, options);
+            let result = setup.try_run_with_accel(&accel, &variant, options).unwrap();
             best = best.min(start.elapsed().as_secs_f64());
             assert!(result.report.cycles > 0);
         }

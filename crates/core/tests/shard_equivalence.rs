@@ -38,25 +38,29 @@ fn assert_bit_identical(a: &ExperimentResult, b: &ExperimentResult, what: &str) 
 fn sharded_rendering_is_bit_identical_for_grtx() {
     let setup = SceneSetup::evaluation(SceneKind::Train, 800, 32, 42);
     let variant = PipelineVariant::grtx();
-    let unsharded = setup.run(
-        &variant,
-        &RunOptions {
-            k: 8,
-            ..Default::default()
-        },
-    );
+    let unsharded = setup
+        .try_run(
+            &variant,
+            &RunOptions {
+                k: 8,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     assert!(unsharded.sharding.is_none());
     for shards in [1usize, 2, 8] {
         for threads in [1usize, 3] {
-            let sharded = setup.run(
-                &variant,
-                &RunOptions {
-                    k: 8,
-                    shards,
-                    threads,
-                    ..Default::default()
-                },
-            );
+            let sharded = setup
+                .try_run(
+                    &variant,
+                    &RunOptions {
+                        k: 8,
+                        shards,
+                        threads,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
             assert_bit_identical(
                 &unsharded,
                 &sharded,
@@ -84,15 +88,17 @@ fn sharded_rendering_is_bit_identical_for_grtx() {
 fn sharded_rendering_is_bit_identical_for_monolithic_baseline() {
     let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 24, 7);
     let variant = PipelineVariant::baseline();
-    let unsharded = setup.run(&variant, &RunOptions::default());
+    let unsharded = setup.try_run(&variant, &RunOptions::default()).unwrap();
     for shards in [2usize, 8] {
-        let sharded = setup.run(
-            &variant,
-            &RunOptions {
-                shards,
-                ..Default::default()
-            },
-        );
+        let sharded = setup
+            .try_run(
+                &variant,
+                &RunOptions {
+                    shards,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         assert_bit_identical(&unsharded, &sharded, &format!("baseline shards={shards}"));
     }
 }
@@ -103,14 +109,16 @@ fn sharded_rendering_is_bit_identical_for_monolithic_baseline() {
 fn sharded_rendering_is_bit_identical_for_custom_primitive() {
     let setup = SceneSetup::evaluation(SceneKind::Bonsai, 4000, 24, 13);
     let variant = PipelineVariant::custom_primitive();
-    let unsharded = setup.run(&variant, &RunOptions::default());
-    let sharded = setup.run(
-        &variant,
-        &RunOptions {
-            shards: 4,
-            ..Default::default()
-        },
-    );
+    let unsharded = setup.try_run(&variant, &RunOptions::default()).unwrap();
+    let sharded = setup
+        .try_run(
+            &variant,
+            &RunOptions {
+                shards: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     assert_bit_identical(&unsharded, &sharded, "custom shards=4");
 }
 
@@ -124,8 +132,8 @@ fn sharded_rendering_is_bit_identical_with_secondary_rays() {
         shards,
         ..Default::default()
     };
-    let unsharded = setup.run(&variant, &opts(0));
-    let sharded = setup.run(&variant, &opts(8));
+    let unsharded = setup.try_run(&variant, &opts(0)).unwrap();
+    let sharded = setup.try_run(&variant, &opts(8)).unwrap();
     assert_bit_identical(&unsharded, &sharded, "effects shards=8");
     assert_eq!(unsharded.report.secondary, sharded.report.secondary);
 }

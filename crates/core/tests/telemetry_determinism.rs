@@ -53,8 +53,12 @@ fn render_batch_is_bit_identical_with_telemetry_on() {
             telemetry: Telemetry::enabled(),
             ..off.clone()
         };
-        let plain = setup.run_views(&variant, &off, 2);
-        let traced = setup.run_views(&variant, &on, 2);
+        let plain = setup
+            .try_run_batch(&variant, &off, &setup.orbit_cameras(2))
+            .unwrap();
+        let traced = setup
+            .try_run_batch(&variant, &on, &setup.orbit_cameras(2))
+            .unwrap();
         assert_eq!(plain.len(), traced.len());
         for (a, b) in plain.iter().zip(&traced) {
             assert_results_identical(a, b, &format!("render_batch threads={threads}"));
@@ -87,8 +91,12 @@ fn run_stream_is_bit_identical_with_telemetry_on() {
                 };
                 let what = format!("run_stream depth={depth} threads={threads} shards={shards}");
                 let source = setup.jitter_source(0.05, 2);
-                let plain = setup.run_stream(&source, 4, &variant, &off, depth);
-                let traced = setup.run_stream(&source, 4, &variant, &on, depth);
+                let plain = setup
+                    .try_run_stream(&source, 4, &variant, &off, depth)
+                    .unwrap();
+                let traced = setup
+                    .try_run_stream(&source, 4, &variant, &on, depth)
+                    .unwrap();
                 assert_eq!(plain.len(), traced.len(), "{what}: frame count");
                 for (fa, fb) in plain.iter().zip(&traced) {
                     assert_eq!(fa.index(), fb.index(), "{what}: frame order");
@@ -116,7 +124,9 @@ fn identical_traced_runs_report_identical_structure() {
             ..Default::default()
         };
         let source = setup.jitter_source(0.05, 2);
-        let frames = setup.run_stream(&source, 4, &variant, &options, 3);
+        let frames = setup
+            .try_run_stream(&source, 4, &variant, &options, 3)
+            .unwrap();
         assert_eq!(frames.len(), 4);
         options.telemetry.report().expect("enabled handle reports")
     };

@@ -9,28 +9,34 @@ fn modes(setup: &SceneSetup, k: usize) -> [grtx::Image; 3] {
     // SingleRound via the option flag; restart and checkpoint via the
     // matching pipeline variants (same monolithic structure, so the
     // traversal arithmetic is identical across all three).
-    let single = setup.run(
-        &PipelineVariant::baseline(),
-        &RunOptions {
-            k,
-            single_round: true,
-            ..Default::default()
-        },
-    );
-    let restart = setup.run(
-        &PipelineVariant::baseline(),
-        &RunOptions {
-            k,
-            ..Default::default()
-        },
-    );
-    let checkpoint = setup.run(
-        &PipelineVariant::grtx_hw(),
-        &RunOptions {
-            k,
-            ..Default::default()
-        },
-    );
+    let single = setup
+        .try_run(
+            &PipelineVariant::baseline(),
+            &RunOptions {
+                k,
+                single_round: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    let restart = setup
+        .try_run(
+            &PipelineVariant::baseline(),
+            &RunOptions {
+                k,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    let checkpoint = setup
+        .try_run(
+            &PipelineVariant::grtx_hw(),
+            &RunOptions {
+                k,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     [
         single.report.image,
         restart.report.image,
@@ -65,20 +71,24 @@ fn all_trace_modes_render_identical_images_at_32x32() {
 #[test]
 fn trace_modes_agree_on_two_level_structures() {
     let setup = SceneSetup::evaluation(SceneKind::Room, 500, 32, 9);
-    let restart = setup.run(
-        &PipelineVariant::grtx_sw(),
-        &RunOptions {
-            k: 8,
-            ..Default::default()
-        },
-    );
-    let checkpoint = setup.run(
-        &PipelineVariant::grtx(),
-        &RunOptions {
-            k: 8,
-            ..Default::default()
-        },
-    );
+    let restart = setup
+        .try_run(
+            &PipelineVariant::grtx_sw(),
+            &RunOptions {
+                k: 8,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    let checkpoint = setup
+        .try_run(
+            &PipelineVariant::grtx(),
+            &RunOptions {
+                k: 8,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     assert_eq!(
         restart.report.image.psnr(&checkpoint.report.image),
         f64::INFINITY,

@@ -12,7 +12,7 @@
 //!   (or reuse) and camera paths — with ready-made [`OrbitSource`]
 //!   (static scene, orbiting rig) and [`JitterSource`] (animated scene)
 //!   scenario generators;
-//! * [`run_stream`] drives a three-stage graph — **update** (produce
+//! * [`try_run_stream`] drives a three-stage graph — **update** (produce
 //!   frame N+2's scene/cameras) → **build** (frame N+1's sharded
 //!   structure, reusing the previous one when the scene is unchanged) →
 //!   **render** (frame N's `cameras × SMs` fragment fan-out) — over one
@@ -23,16 +23,16 @@
 //!
 //! # Determinism contract
 //!
-//! Frames come back as [`FrameResult`]s in strict frame order, and every
-//! frame's images, cycles, and statistics are **bit-identical** to
+//! Frames come back as [`FrameOutcome`]s in strict frame order, and every
+//! rendered frame's images, cycles, and statistics are **bit-identical** to
 //! building and batch-rendering each frame on its own — at any pipeline
 //! depth, any thread count, and any shard count. Overlap changes wall-clock time only.
 //! The scheduler details and the proof sketch live in [`stream`].
 //!
 //! # Faults and graceful degradation
 //!
-//! [`try_run_stream`] is the fallible entry point: it validates the
-//! configuration up front and each frame's cameras and scene as the
+//! [`try_run_stream`] returns a typed error instead of panicking: it
+//! validates the configuration up front and each frame's cameras and scene as the
 //! frame is produced ([`grtx_fault::GrtxError`]) and, when
 //! [`StreamConfig::retry`] enables quarantine, converts stage-task
 //! panics — injected by a [`grtx_fault::FaultPlan`] or genuine — into
@@ -46,4 +46,4 @@ pub mod stream;
 
 pub use grtx_fault::{FaultInjector, FaultPlan, GrtxError, RetryPolicy};
 pub use source::{FrameSource, FrameSpec, JitterSource, OrbitSource};
-pub use stream::{run_stream, try_run_stream, FrameOutcome, FrameResult, StreamConfig};
+pub use stream::{try_run_stream, FrameOutcome, FrameResult, StreamConfig};

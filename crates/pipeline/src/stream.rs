@@ -51,7 +51,7 @@
 //! slots keyed by frame (and fragment) index, and merges follow the
 //! engine's fixed `(camera, SM)` order — so images, cycles, and every
 //! statistic are **bit-identical** to building each frame's structure
-//! and calling `RenderEngine::render_batch` on it, one frame at a time,
+//! and calling `RenderEngine::try_render_batch` on it, one frame at a time,
 //! at any thread count and any pipeline depth. Only wall-clock time
 //! changes. Build timings inside [`ShardingSummary`] are wall-clock
 //! measurements and are exempt.
@@ -275,38 +275,17 @@ fn build_structure(scene: &GaussianScene, config: &StreamConfig, build_threads: 
 }
 
 /// Runs `frames` frames of `source` through the pipeline, returning
-/// results in strict frame order.
+/// per-frame [`FrameOutcome`]s in strict frame order, on the one
+/// task-graph executor at every depth.
 ///
-/// Every frame's images, cycles, and statistics are **bit-identical** to
-/// building and batch-rendering each frame one at a time — at any
-/// [`StreamConfig::depth`], [`StreamConfig::threads`], and
-/// [`StreamConfig::shards`].
+/// Every rendered frame's images, cycles, and statistics are
+/// **bit-identical** to building and batch-rendering each frame one at
+/// a time — at any [`StreamConfig::depth`], [`StreamConfig::threads`],
+/// and [`StreamConfig::shards`].
 ///
-/// # Panics
-///
-/// Panics if the configuration is invalid, if any frame comes back
-/// [`FrameOutcome::Failed`] (an invalid frame, or a quarantined stage
-/// task), or if the source/build/render work itself panics past the
-/// retry budget (worker panics are forwarded to the caller under the
-/// default [`RetryPolicy`]) — callers that expect failures should use
-/// [`try_run_stream`], which surfaces them as [`FrameOutcome::Failed`]
-/// instead.
-pub fn run_stream(
-    source: &dyn FrameSource,
-    frames: usize,
-    config: &StreamConfig,
-) -> Vec<FrameResult> {
-    try_run_stream(source, frames, config)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .into_iter()
-        .map(|outcome| outcome.into_rendered().unwrap_or_else(|e| panic!("{e}")))
-        .collect()
-}
-
-/// Fallible [`run_stream`]: validates the configuration up front
-/// (returning [`GrtxError::InvalidConfig`] for degenerate GPU shapes or
-/// a zero-capacity k-buffer) and yields per-frame [`FrameOutcome`]s in
-/// frame order, on the one task-graph executor at every depth.
+/// The configuration is validated up front: degenerate GPU shapes, an
+/// out-of-range k-buffer capacity, or a primitive the organization
+/// cannot build return [`GrtxError::InvalidConfig`].
 ///
 /// The update task validates each frame's cameras and fresh scene: a
 /// frame with an invalid camera ([`GrtxError::InvalidCamera`]), an
@@ -331,6 +310,7 @@ pub fn try_run_stream(
 ) -> Result<Vec<FrameOutcome>, GrtxError> {
     grtx_render::validate_gpu(&config.gpu)?;
     grtx_render::validate_render(&config.render)?;
+    grtx_render::validate_structure(config.primitive, config.two_level)?;
     if frames == 0 {
         return Ok(Vec::new());
     }

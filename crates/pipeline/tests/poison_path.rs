@@ -8,7 +8,7 @@
 //! process-global.
 
 use grtx_fault::{FaultInjector, FaultPlan, FaultSite, InjectedFault, RetryPolicy};
-use grtx_pipeline::{run_stream, FrameSource, FrameSpec, OrbitSource, StreamConfig};
+use grtx_pipeline::{try_run_stream, FrameSource, FrameSpec, OrbitSource, StreamConfig};
 use grtx_scene::synth::generate_scene;
 use grtx_scene::{Camera, CameraModel, SceneKind};
 use std::sync::Arc;
@@ -76,7 +76,7 @@ fn poison_drain_and_recover(depth: usize) {
         inner: OrbitSource::new(scene.clone(), base_camera(), 1, 0.3),
         panic_at: 2,
     };
-    let result = std::panic::catch_unwind(|| run_stream(&source, 5, &config));
+    let result = std::panic::catch_unwind(|| try_run_stream(&source, 5, &config).unwrap());
     let payload = result.expect_err("a stage panic must propagate to the caller");
     let marker = payload
         .downcast_ref::<Marker>()
@@ -94,7 +94,7 @@ fn poison_drain_and_recover(depth: usize) {
         ..Default::default()
     };
     let source = OrbitSource::new(scene.clone(), base_camera(), 1, 0.3);
-    let result = std::panic::catch_unwind(|| run_stream(&source, 4, &faulty));
+    let result = std::panic::catch_unwind(|| try_run_stream(&source, 4, &faulty).unwrap());
     let payload = result.expect_err("an injected fault must propagate under the default policy");
     let fault = payload
         .downcast_ref::<InjectedFault>()
@@ -106,7 +106,9 @@ fn poison_drain_and_recover(depth: usize) {
     // 3. The process is healthy afterwards: a fresh stream on a fresh
     //    pool runs to completion with every frame rendered.
     let source = OrbitSource::new(scene, base_camera(), 1, 0.3);
-    let frames = run_stream(&source, 3, &config);
+    let frames = try_run_stream(&source, 3, &config).unwrap();
     assert_eq!(frames.len(), 3);
-    assert!(frames.iter().all(|f| !f.reports.is_empty()));
+    assert!(frames
+        .iter()
+        .all(|f| f.rendered().is_some_and(|r| !r.reports.is_empty())));
 }

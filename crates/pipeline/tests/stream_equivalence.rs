@@ -5,14 +5,28 @@
 //! count, and shard count.
 
 use grtx_bvh::AccelStruct;
+use grtx_fault::GrtxError;
 use grtx_pipeline::{
-    run_stream, FrameResult, FrameSource, FrameSpec, JitterSource, OrbitSource, StreamConfig,
+    try_run_stream, FrameResult, FrameSource, FrameSpec, JitterSource, OrbitSource, StreamConfig,
 };
 use grtx_render::RenderEngine;
 use grtx_scene::synth::generate_scene;
 use grtx_scene::{Camera, CameraModel, SceneKind};
 use grtx_shard::ShardedAccel;
 use std::sync::Arc;
+
+/// Runs a stream whose every frame must render, unwrapping each outcome.
+fn rendered_stream(
+    source: &dyn FrameSource,
+    frames: usize,
+    config: &StreamConfig,
+) -> Vec<FrameResult> {
+    try_run_stream(source, frames, config)
+        .unwrap()
+        .into_iter()
+        .map(|outcome| outcome.into_rendered().unwrap())
+        .collect()
+}
 
 fn train_scene(budget: usize) -> Arc<grtx_scene::GaussianScene> {
     Arc::new(generate_scene(
@@ -71,13 +85,15 @@ fn sequential_oracle(
             index,
             gaussians: scene.len(),
             rebuilt,
-            reports: engine.render_batch(
-                accel,
-                scene,
-                &spec.cameras,
-                config.effects.as_ref(),
-                &config.render,
-            ),
+            reports: engine
+                .try_render_batch(
+                    accel,
+                    scene,
+                    &spec.cameras,
+                    config.effects.as_ref(),
+                    &config.render,
+                )
+                .unwrap(),
             size: *accel.size_report(),
             height: accel.height(),
             sharding: sharding.clone(),
@@ -150,7 +166,7 @@ fn stream_matches_sequential_across_depths_threads_and_shards() {
                         shards,
                         ..Default::default()
                     };
-                    let frames = run_stream(source, 4, &config);
+                    let frames = rendered_stream(source, 4, &config);
                     assert_frames_identical(
                         &format!("{name}, depth {depth}, threads {threads}, shards {shards}"),
                         &frames,
@@ -172,14 +188,14 @@ fn rebuild_flags_follow_the_source() {
         threads: 2,
         ..Default::default()
     };
-    let orbit = run_stream(
+    let orbit = rendered_stream(
         &OrbitSource::new(scene.clone(), base_camera(), 1, 0.3),
         5,
         &config,
     );
     let rebuilds: Vec<bool> = orbit.iter().map(|f| f.rebuilt).collect();
     assert_eq!(rebuilds, [true, false, false, false, false]);
-    let jitter = run_stream(
+    let jitter = rendered_stream(
         &JitterSource::with_period(scene, vec![base_camera()], 0.1, 2),
         5,
         &config,
@@ -198,7 +214,7 @@ fn rebuild_flags_follow_the_source() {
 #[test]
 fn results_arrive_in_frame_order() {
     let source = OrbitSource::new(train_scene(150), base_camera(), 2, 0.4);
-    let frames = run_stream(
+    let frames = rendered_stream(
         &source,
         6,
         &StreamConfig {
@@ -220,7 +236,7 @@ fn results_arrive_in_frame_order() {
 fn empty_streams_and_camera_less_frames_are_defined() {
     let scene = train_scene(100);
     let source = OrbitSource::new(scene.clone(), base_camera(), 1, 0.2);
-    assert!(run_stream(&source, 0, &StreamConfig::default()).is_empty());
+    assert!(rendered_stream(&source, 0, &StreamConfig::default()).is_empty());
 
     struct NoCameras(Arc<grtx_scene::GaussianScene>);
     impl FrameSource for NoCameras {
@@ -232,7 +248,7 @@ fn empty_streams_and_camera_less_frames_are_defined() {
         }
     }
     for depth in [1usize, 3] {
-        let frames = run_stream(
+        let frames = rendered_stream(
             &NoCameras(scene.clone()),
             3,
             &StreamConfig {
@@ -291,7 +307,7 @@ fn old_frame_slots_release_their_scenes() {
         camera: base_camera(),
         produced: Mutex::new(Vec::new()),
     };
-    let frames = run_stream(
+    let frames = rendered_stream(
         &source,
         10,
         &StreamConfig {
@@ -303,11 +319,10 @@ fn old_frame_slots_release_their_scenes() {
     assert_eq!(frames.len(), 10);
 }
 
-/// A sourceless first frame is a contract violation — pipelined workers
-/// forward the panic to the caller instead of hanging.
+/// A sceneless first frame is a contract violation: the stream still
+/// runs, and frame 0 comes back failed with a typed scene error.
 #[test]
-#[should_panic(expected = "frame 0 must supply a scene")]
-fn sceneless_first_frame_panics_through_the_pool() {
+fn sceneless_first_frame_fails_with_a_typed_error() {
     struct Sceneless;
     impl FrameSource for Sceneless {
         fn frame(&self, _index: usize) -> FrameSpec {
@@ -317,7 +332,7 @@ fn sceneless_first_frame_panics_through_the_pool() {
             }
         }
     }
-    let _ = run_stream(
+    let frames = try_run_stream(
         &Sceneless,
         2,
         &StreamConfig {
@@ -325,5 +340,12 @@ fn sceneless_first_frame_panics_through_the_pool() {
             threads: 2,
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
+    match frames[0].error() {
+        Some(GrtxError::InvalidScene { reason, .. }) => {
+            assert!(reason.contains("frame 0 must supply a scene"), "{reason}")
+        }
+        other => panic!("frame 0: expected InvalidScene, got {other:?}"),
+    }
 }

@@ -6,7 +6,7 @@
 //! pipeline's update/build/render stages. This crate opens up the other
 //! clock domain — the **simulated GPU's** — so the machine the simulator
 //! models (SMs, warp buffers, L1/sliced-L2, k-buffer, checkpoint and
-//! eviction buffers) stops being a black box between `render()` and an
+//! eviction buffers) stops being a black box between `try_render()` and an
 //! aggregate [`SimStats`].
 //!
 //! # The virtual clock

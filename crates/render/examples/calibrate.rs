@@ -1,6 +1,7 @@
 use grtx_bvh::{AccelStruct, BoundingPrimitive, LayoutConfig};
-use grtx_render::renderer::{render_simulated, RenderConfig};
+use grtx_render::renderer::RenderConfig;
 use grtx_render::tracer::{TraceMode, TraceParams};
+use grtx_render::RenderEngine;
 use grtx_scene::{synth::generate_scene, Camera, SceneKind};
 use grtx_sim::GpuConfig;
 use std::time::Instant;
@@ -55,14 +56,9 @@ fn main() {
             },
             ..Default::default()
         };
-        let report = render_simulated(
-            &accel,
-            &scene,
-            &camera,
-            None,
-            &cfg,
-            GpuConfig::default().with_cache_scale(divisor),
-        );
+        let report = RenderEngine::new(GpuConfig::default().with_cache_scale(divisor))
+            .try_render(&accel, &scene, &camera, None, &cfg)
+            .expect("calibration scene renders");
         println!("  render: wall {:?}, sim {:.2} ms, fetches {}, rounds/ray {:.2}, blended/ray {:.1}, l1 {:.2}, lat {:.0}, l2 {}, uniq-frac {:.2}",
                  t0.elapsed(), report.time_ms, report.stats.node_fetches_total,
                  report.stats.rounds as f64 / report.stats.rays as f64,

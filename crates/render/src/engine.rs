@@ -20,12 +20,13 @@
 //! the fragment unit generalizes to **fragments = SM × camera**: warp
 //! `w` of camera `c` runs on [`WarpSchedule::sm_of_launch_warp`]`(w)`
 //! inside fragment `(c, s)`, and every `(camera, SM)` fragment is still
-//! a closed deterministic computation. [`RenderEngine::render_batch`]
+//! a closed deterministic computation. [`RenderEngine::try_render_batch`]
 //! fans all `cameras × SMs` fragments over one worker pool — amortizing
 //! thread spin-up and sharing the structure — and merges them per
 //! camera in fixed `(camera, SM)` order, so each camera's report is
-//! **bit-identical** to a standalone [`RenderEngine::render`] of that
-//! camera. Single-camera `render` *is* the batch path at `N = 1`.
+//! **bit-identical** to a standalone [`RenderEngine::try_render`] of
+//! that camera. Single-camera `try_render` *is* the batch path at
+//! `N = 1`.
 //!
 //! After the fan-out, per-fragment state is merged in fixed SM order
 //! (miden-style fragment replay): [`grtx_sim::SimStats`] counters sum (peaks take
@@ -47,14 +48,15 @@
 //! fragment), and [`RenderEngine::merge_launch`] (fixed-SM-order merge of
 //! one camera's fragments). Driving those three by hand — in any
 //! interleaving across cameras, frames, or threads — produces reports
-//! **bit-identical** to [`RenderEngine::render`], because `render_batch`
-//! itself is nothing more than that plan → fragment → merge sequence.
+//! **bit-identical** to [`RenderEngine::try_render`], because
+//! `try_render_batch` itself is nothing more than that plan → fragment →
+//! merge sequence.
 
 use crate::blend::BlendState;
 use crate::image::Image;
 use crate::renderer::{shader_cycles, RenderConfig, RenderReport, SecondaryBreakdown};
 use crate::tracer::{RayTracer, TraceParams};
-use grtx_bvh::AccelStruct;
+use grtx_bvh::{AccelStruct, BoundingPrimitive};
 use grtx_fault::GrtxError;
 use grtx_math::Ray;
 use grtx_prof::{FragmentProfile, FragmentRecorder, Profiler};
@@ -225,29 +227,9 @@ impl RenderEngine {
     /// secondary rays whose Gaussian traversal is simulated separately
     /// (Fig. 23) and composited into the image.
     ///
-    /// This is [`Self::render_batch`] at `N = 1` — the batch path is the
-    /// only render body.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate inputs ([`Self::try_render`] returns them as
-    /// [`GrtxError`]s instead).
-    pub fn render(
-        &self,
-        accel: &AccelStruct,
-        scene: &GaussianScene,
-        camera: &Camera,
-        effects: Option<&EffectObjects>,
-        config: &RenderConfig,
-    ) -> RenderReport {
-        self.try_render(accel, scene, camera, effects, config)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Self::render`]: validates the GPU configuration,
-    /// camera, and scene up front and returns a [`GrtxError`] instead of
-    /// panicking. On valid inputs the report is bit-identical to
-    /// [`Self::render`].
+    /// This is [`Self::try_render_batch`] at `N = 1`, the only render
+    /// body, and it rejects the same inputs with the same typed
+    /// [`GrtxError`]s.
     pub fn try_render(
         &self,
         accel: &AccelStruct,
@@ -269,35 +251,18 @@ impl RenderEngine {
     /// across views; per-fragment state merges per camera in fixed
     /// `(camera, SM)` order. Each returned report — image, cycles, and
     /// every statistic — is **bit-identical** to a standalone
-    /// [`Self::render`] of that camera at any thread count, because each
-    /// launch restarts the warp round-robin and simulates against cold
-    /// per-launch SM state.
+    /// [`Self::try_render`] of that camera at any thread count, because
+    /// each launch restarts the warp round-robin and simulates against
+    /// cold per-launch SM state.
     ///
     /// With `effects`, the same effect objects apply to every camera.
     /// Returns one report per camera, in input order.
     ///
-    /// # Panics
-    ///
-    /// Panics on degenerate inputs ([`Self::try_render_batch`] returns
-    /// them as [`GrtxError`]s instead).
-    pub fn render_batch(
-        &self,
-        accel: &AccelStruct,
-        scene: &GaussianScene,
-        cameras: &[Camera],
-        effects: Option<&EffectObjects>,
-        config: &RenderConfig,
-    ) -> Vec<RenderReport> {
-        self.try_render_batch(accel, scene, cameras, effects, config)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Self::render_batch`]: rejects degenerate GPU and render
-    /// configurations ([`GrtxError::InvalidConfig`]), zero-resolution or
-    /// non-finite cameras ([`GrtxError::InvalidCamera`]), and scenes
-    /// carrying non-finite Gaussians ([`GrtxError::InvalidScene`])
-    /// before any work happens. On valid inputs the reports are
-    /// bit-identical to [`Self::render_batch`].
+    /// Rejects degenerate GPU and render configurations
+    /// ([`GrtxError::InvalidConfig`]), zero-resolution or non-finite
+    /// cameras ([`GrtxError::InvalidCamera`]), and scenes carrying
+    /// non-finite Gaussians ([`GrtxError::InvalidScene`]) before any
+    /// work happens.
     pub fn try_render_batch(
         &self,
         accel: &AccelStruct,
@@ -321,42 +286,13 @@ impl RenderEngine {
         let num_sms = self.gpu.num_sms.max(1);
         let threads = self.effective_threads_for(cameras.len());
 
-        // Plan every camera's launch up front. Planning is pure and
-        // per-camera independent, so big batches plan on the worker pool
-        // too — camera `c` to worker `c % plan_threads` — with results
-        // landing by index, deterministically.
-        let plan_threads = threads.min(cameras.len());
-        let launches: Vec<CameraLaunch> = if plan_threads <= 1 {
-            cameras
-                .iter()
-                .map(|camera| CameraLaunch::plan(camera, effects, warp_size))
-                .collect()
-        } else {
-            let mut planned: Vec<Option<CameraLaunch>> = (0..cameras.len()).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..plan_threads)
-                    .map(|worker| {
-                        scope.spawn(move || {
-                            (worker..cameras.len())
-                                .step_by(plan_threads)
-                                .map(|cam| {
-                                    (cam, CameraLaunch::plan(&cameras[cam], effects, warp_size))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (cam, launch) in handle.join().expect("plan worker panicked") {
-                        planned[cam] = Some(launch);
-                    }
-                }
-            });
-            planned
-                .into_iter()
-                .map(|l| l.expect("every camera planned"))
-                .collect()
-        };
+        // Plan every camera's launch up front, serially: planning is
+        // pure and costs well under a millisecond per camera, next to
+        // seconds of fragment simulation.
+        let launches: Vec<CameraLaunch> = cameras
+            .iter()
+            .map(|camera| CameraLaunch::plan(camera, effects, warp_size))
+            .collect();
         // Single source of the warp-to-SM policy: the same schedule that
         // reduces warp times to a makespan decides which fragment
         // simulates each warp.
@@ -488,8 +424,9 @@ impl RenderEngine {
     /// Merges one launch's fragment outcomes — **in SM order** — into
     /// the camera's report.
     ///
-    /// The result is bit-identical to [`Self::render`] of the same
-    /// camera: `render_batch` is exactly this merge applied per camera.
+    /// The result is bit-identical to [`Self::try_render`] of the same
+    /// camera: `try_render_batch` is exactly this merge applied per
+    /// camera.
     ///
     /// # Panics
     ///
@@ -880,10 +817,27 @@ fn run_warp_queue<'a>(
     }
 }
 
-/// Rejects GPU configurations no hardware could execute: zero SMs,
-/// zero-size warps, zero SIMT lanes, an empty warp buffer, cache lines
-/// that are not a power of two, caches smaller than one line or with no
-/// ways, and a clock that is not a positive finite frequency.
+/// Largest simulated SM count [`validate_gpu`] accepts. Table I models 8
+/// SMs and the largest shipping GPUs have under 150; each SM is one
+/// fragment with its own cache state, so the bound keeps a run's
+/// allocation proportional to a real GPU.
+pub const MAX_SMS: usize = 1024;
+
+/// Lowest core clock, in MHz, [`validate_gpu`] accepts. Table I clocks
+/// at 1365 MHz; at the floor every `u64` cycle count still converts to
+/// a finite millisecond time.
+pub const MIN_CLOCK_MHZ: f64 = 1.0;
+
+/// Largest k-buffer capacity [`validate_render`] accepts. The paper
+/// sweeps k from 4 to 64 (Figs. 6b and 18); every traced ray reserves
+/// `k + 1` entries up front, so the bound keeps that reservation small.
+pub const MAX_K: usize = 1024;
+
+/// Rejects GPU configurations no hardware could execute: zero or more
+/// than [`MAX_SMS`] SMs, zero-size warps, zero SIMT lanes, an empty warp
+/// buffer, cache lines that are not a power of two, caches smaller than
+/// one line or with no ways, and a clock that is not finite or is below
+/// [`MIN_CLOCK_MHZ`].
 pub fn validate_gpu(gpu: &GpuConfig) -> Result<(), GrtxError> {
     let invalid = |reason: String| Err(GrtxError::InvalidConfig { reason });
     let checks = [
@@ -899,6 +853,9 @@ pub fn validate_gpu(gpu: &GpuConfig) -> Result<(), GrtxError> {
             return invalid(format!("{name} must be >= 1, got 0"));
         }
     }
+    if gpu.num_sms > MAX_SMS {
+        return invalid(format!("num_sms must be <= {MAX_SMS}, got {}", gpu.num_sms));
+    }
     if !gpu.line_bytes.is_power_of_two() {
         return invalid(format!(
             "line_bytes must be a power of two, got {}",
@@ -913,21 +870,35 @@ pub fn validate_gpu(gpu: &GpuConfig) -> Result<(), GrtxError> {
             ));
         }
     }
-    if !(gpu.clock_mhz.is_finite() && gpu.clock_mhz > 0.0) {
+    if !(gpu.clock_mhz.is_finite() && gpu.clock_mhz >= MIN_CLOCK_MHZ) {
         return invalid(format!(
-            "clock_mhz must be finite and positive, got {}",
+            "clock_mhz must be finite and >= {MIN_CLOCK_MHZ}, got {}",
             gpu.clock_mhz
         ));
     }
     Ok(())
 }
 
-/// Rejects render configurations the tracer cannot run: a zero-capacity
-/// k-buffer.
+/// Rejects render configurations the tracer cannot run: a k-buffer
+/// capacity of zero or above [`MAX_K`].
 pub fn validate_render(config: &RenderConfig) -> Result<(), GrtxError> {
-    if config.params.k == 0 {
+    let k = config.params.k;
+    if k == 0 || k > MAX_K {
         return Err(GrtxError::InvalidConfig {
-            reason: "k must be >= 1, got 0".to_string(),
+            reason: format!("k must be in 1..={MAX_K}, got {k}"),
+        });
+    }
+    Ok(())
+}
+
+/// Rejects primitive/organization pairs [`AccelStruct::build`] cannot
+/// build: hardware unit spheres exist only behind instance transforms,
+/// so [`BoundingPrimitive::UnitSphere`] needs the two-level organization.
+pub fn validate_structure(primitive: BoundingPrimitive, two_level: bool) -> Result<(), GrtxError> {
+    if primitive == BoundingPrimitive::UnitSphere && !two_level {
+        return Err(GrtxError::InvalidConfig {
+            reason: "unit-sphere primitives require the two-level (shared BLAS) organization"
+                .to_string(),
         });
     }
     Ok(())
@@ -970,7 +941,7 @@ pub fn validate_camera(camera: &Camera) -> Result<(), GrtxError> {
 mod tests {
     use super::*;
     use crate::tracer::TraceMode;
-    use grtx_bvh::{BoundingPrimitive, LayoutConfig};
+    use grtx_bvh::LayoutConfig;
     use grtx_math::Vec3;
     use grtx_scene::{synth::generate_scene, CameraModel, SceneKind};
 
@@ -993,8 +964,8 @@ mod tests {
         (scene, accel, camera)
     }
 
-    /// The fallible entry points reject degenerate inputs with typed
-    /// errors — and accept (bit-identically) everything `render` does.
+    /// The render entry points reject degenerate inputs with typed
+    /// errors and render valid ones.
     #[test]
     fn try_render_validates_inputs() {
         let (scene, accel, camera) = tiny_setup();
@@ -1004,9 +975,8 @@ mod tests {
         let ok = engine
             .try_render(&accel, &scene, &camera, None, &config)
             .expect("valid inputs render");
-        let direct = engine.render(&accel, &scene, &camera, None, &config);
-        assert_eq!(ok.image.pixels(), direct.image.pixels());
-        assert_eq!(ok.cycles, direct.cycles);
+        assert_eq!(ok.image.pixels().len(), camera.pixel_count());
+        assert!(ok.cycles > 0);
 
         let mut flat = camera.clone();
         flat.height = 0;
@@ -1055,7 +1025,8 @@ mod tests {
         let render = |threads: usize| {
             RenderEngine::new(GpuConfig::default())
                 .with_threads(threads)
-                .render(&accel, &scene, &camera, None, &config)
+                .try_render(&accel, &scene, &camera, None, &config)
+                .unwrap()
         };
         let serial = render(1);
         for threads in [2, 4, 8] {
@@ -1091,7 +1062,8 @@ mod tests {
         let render = |threads: usize| {
             RenderEngine::new(GpuConfig::default())
                 .with_threads(threads)
-                .render(&accel, &scene, &camera, Some(&effects), &config)
+                .try_render(&accel, &scene, &camera, Some(&effects), &config)
+                .unwrap()
         };
         let serial = render(1);
         let parallel = render(4);
@@ -1105,9 +1077,12 @@ mod tests {
         let (scene, accel, camera) = tiny_setup();
         let config = RenderConfig::default();
         let engine = RenderEngine::new(GpuConfig::default()).with_threads(2);
-        let standalone = engine.render(&accel, &scene, &camera, None, &config);
-        let mut batch =
-            engine.render_batch(&accel, &scene, std::slice::from_ref(&camera), None, &config);
+        let standalone = engine
+            .try_render(&accel, &scene, &camera, None, &config)
+            .unwrap();
+        let mut batch = engine
+            .try_render_batch(&accel, &scene, std::slice::from_ref(&camera), None, &config)
+            .unwrap();
         assert_eq!(batch.len(), 1);
         let report = batch.pop().unwrap();
         assert_eq!(standalone.image.pixels(), report.image.pixels());
@@ -1116,7 +1091,7 @@ mod tests {
     }
 
     /// The exposed plan → fragment → merge building blocks, driven by
-    /// hand in scrambled fragment order, reproduce `render()` exactly —
+    /// hand in scrambled fragment order, reproduce `try_render()` exactly —
     /// the contract the frame pipeline's render stage is built on.
     #[test]
     fn hand_driven_fragments_match_render() {
@@ -1133,7 +1108,9 @@ mod tests {
             .collect();
         outcomes.reverse();
         let merged = engine.merge_launch(&launch, &camera, &config, outcomes);
-        let standalone = engine.render(&accel, &scene, &camera, None, &config);
+        let standalone = engine
+            .try_render(&accel, &scene, &camera, None, &config)
+            .unwrap();
         assert_eq!(standalone.image.pixels(), merged.image.pixels());
         assert_eq!(standalone.cycles, merged.cycles);
         assert_eq!(standalone.stats, merged.stats);
@@ -1143,13 +1120,9 @@ mod tests {
     #[test]
     fn empty_batch_renders_nothing() {
         let (scene, accel, _) = tiny_setup();
-        let reports = RenderEngine::new(GpuConfig::default()).render_batch(
-            &accel,
-            &scene,
-            &[],
-            None,
-            &RenderConfig::default(),
-        );
+        let reports = RenderEngine::new(GpuConfig::default())
+            .try_render_batch(&accel, &scene, &[], None, &RenderConfig::default())
+            .unwrap();
         assert!(reports.is_empty());
     }
 
@@ -1177,8 +1150,9 @@ mod tests {
             camera.primary_ray(0, 0).is_none(),
             "corner must lie outside the image circle"
         );
-        let report =
-            RenderEngine::new(GpuConfig::default()).render(&accel, &scene, &camera, None, &config);
+        let report = RenderEngine::new(GpuConfig::default())
+            .try_render(&accel, &scene, &camera, None, &config)
+            .unwrap();
         assert_eq!(
             report.image.pixel(0),
             background,

@@ -35,10 +35,11 @@ pub mod tracer;
 
 pub use blend::{BlendState, MIN_BLEND_ALPHA};
 pub use engine::{
-    validate_camera, validate_gpu, validate_render, CameraLaunch, RenderEngine, SmOutcome,
+    validate_camera, validate_gpu, validate_render, validate_structure, CameraLaunch, RenderEngine,
+    SmOutcome,
 };
 pub use image::Image;
 pub use kbuffer::{InsertOutcome, KBuffer};
-pub use raster::{render_rasterized, try_render_rasterized, RasterConfig, RasterReport};
-pub use renderer::{render_simulated, RenderConfig, RenderReport, SecondaryBreakdown};
+pub use raster::{try_render_rasterized, RasterConfig, RasterReport};
+pub use renderer::{RenderConfig, RenderReport, SecondaryBreakdown};
 pub use tracer::{KBufferStorage, RayTracer, RoundReport, RoundStatus, TraceMode, TraceParams};

@@ -64,24 +64,9 @@ struct Splat {
 
 /// Rasterizes a scene with the 3DGS pipeline.
 ///
-/// # Panics
-///
-/// Panics for non-pinhole cameras — exactly the limitation that
-/// motivates ray-traced Gaussians in the paper.
-/// [`try_render_rasterized`] reports the same limitation as a
-/// [`GrtxError::InvalidCamera`] instead.
-pub fn render_rasterized(
-    scene: &GaussianScene,
-    camera: &Camera,
-    config: &RasterConfig,
-    gpu: &GpuConfig,
-) -> RasterReport {
-    try_render_rasterized(scene, camera, config, gpu).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`render_rasterized`]: returns
-/// [`GrtxError::InvalidCamera`] for projection models the tile
-/// rasterizer cannot handle, instead of panicking.
+/// Returns [`GrtxError::InvalidCamera`] for non-pinhole cameras —
+/// exactly the limitation that motivates ray-traced Gaussians in the
+/// paper.
 pub fn try_render_rasterized(
     scene: &GaussianScene,
     camera: &Camera,
@@ -272,12 +257,13 @@ mod tests {
         .into_iter()
         .collect();
         let cam = camera(64, 64);
-        let report = render_rasterized(
+        let report = try_render_rasterized(
             &scene,
             &cam,
             &RasterConfig::default(),
             &GpuConfig::default(),
-        );
+        )
+        .unwrap();
         let center = report.image.pixel((32 * 64 + 32) as usize);
         assert!(center.x > 0.5, "center pixel should be red, got {center}");
         let corner = report.image.pixel(0);
@@ -295,12 +281,13 @@ mod tests {
         .into_iter()
         .collect();
         let cam = camera(32, 32);
-        let report = render_rasterized(
+        let report = try_render_rasterized(
             &scene,
             &cam,
             &RasterConfig::default(),
             &GpuConfig::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(report.splats, 0);
         assert_eq!(report.image.mean_luminance(), 0.0);
     }
@@ -320,12 +307,13 @@ mod tests {
             })
             .collect();
         let cam = camera(48, 48);
-        let raster = render_rasterized(
+        let raster = try_render_rasterized(
             &scene,
             &cam,
             &RasterConfig::default(),
             &GpuConfig::default(),
-        );
+        )
+        .unwrap();
         let accel = grtx_bvh::AccelStruct::build(
             &scene,
             grtx_bvh::BoundingPrimitive::UnitSphere,
@@ -352,13 +340,12 @@ mod tests {
         let cam = Camera::for_profile(&SceneKind::Room.profile().with_resolution(64, 64));
         let cfg = RasterConfig::default();
         let gpu = GpuConfig::default();
-        let r_small = render_rasterized(&small, &cam, &cfg, &gpu);
-        let r_large = render_rasterized(&large, &cam, &cfg, &gpu);
+        let r_small = try_render_rasterized(&small, &cam, &cfg, &gpu).unwrap();
+        let r_large = try_render_rasterized(&large, &cam, &cfg, &gpu).unwrap();
         assert!(r_large.cycles > r_small.cycles);
     }
 
     #[test]
-    #[should_panic(expected = "pinhole")]
     fn fisheye_is_rejected() {
         let scene = GaussianScene::new(vec![]);
         let cam = Camera::look_at(
@@ -369,11 +356,16 @@ mod tests {
             Vec3::ZERO,
             Vec3::Y,
         );
-        let _ = render_rasterized(
+        let err = try_render_rasterized(
             &scene,
             &cam,
             &RasterConfig::default(),
             &GpuConfig::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, GrtxError::InvalidCamera { reason } if reason.contains("pinhole")),
+            "{err}"
         );
     }
 }

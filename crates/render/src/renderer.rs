@@ -9,17 +9,15 @@
 //!
 //! Execution lives in [`crate::engine::RenderEngine`], which simulates
 //! each SM as an independent fragment and fans fragments out over host
-//! threads; [`render_simulated`] is the convenience wrapper running on
-//! all available cores (results are bit-identical at any thread count).
+//! threads (results are bit-identical at any thread count).
 
-use crate::engine::RenderEngine;
 use crate::image::Image;
 use crate::tracer::{RayTracer, RoundReport, TraceParams};
 use grtx_bvh::AccelStruct;
 use grtx_math::Vec3;
-use grtx_scene::{Camera, EffectObjects, GaussianScene};
+use grtx_scene::{Camera, GaussianScene};
 use grtx_sim::config::CostModel;
-use grtx_sim::{GpuConfig, SimStats};
+use grtx_sim::SimStats;
 
 /// Whole-render configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,27 +81,6 @@ pub struct RenderReport {
     pub secondary: Option<SecondaryBreakdown>,
 }
 
-/// Renders a camera view through the simulated GPU on all available
-/// cores.
-///
-/// Convenience wrapper over [`RenderEngine`]; thread count never changes
-/// results, so callers that need an explicit count (or a guaranteed
-/// serial path) construct the engine directly.
-///
-/// With `effects`, rays hitting the glass sphere / mirror spawn secondary
-/// rays whose Gaussian traversal is simulated separately (Fig. 23) and
-/// composited into the image.
-pub fn render_simulated(
-    accel: &AccelStruct,
-    scene: &GaussianScene,
-    camera: &Camera,
-    effects: Option<&EffectObjects>,
-    config: &RenderConfig,
-    gpu: GpuConfig,
-) -> RenderReport {
-    RenderEngine::new(gpu).render(accel, scene, camera, effects, config)
-}
-
 /// Shader-side cycles for one round per the cost model and isolation
 /// toggles.
 pub(crate) fn shader_cycles(report: &RoundReport, costs: &CostModel, config: &RenderConfig) -> u64 {
@@ -143,9 +120,24 @@ pub fn render_functional(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RenderEngine;
     use crate::tracer::TraceMode;
     use grtx_bvh::{BoundingPrimitive, LayoutConfig};
-    use grtx_scene::{synth::generate_scene, CameraModel, SceneKind};
+    use grtx_scene::{synth::generate_scene, CameraModel, EffectObjects, SceneKind};
+    use grtx_sim::GpuConfig;
+
+    /// Renders on the Table I GPU with all available cores.
+    fn simulate(
+        accel: &AccelStruct,
+        scene: &GaussianScene,
+        camera: &Camera,
+        effects: Option<&EffectObjects>,
+        config: &RenderConfig,
+    ) -> RenderReport {
+        RenderEngine::new(GpuConfig::default())
+            .try_render(accel, scene, camera, effects, config)
+            .unwrap()
+    }
 
     fn tiny_setup() -> (GaussianScene, AccelStruct, Camera) {
         let scene = generate_scene(SceneKind::Train.profile().with_gaussian_budget(400), 7);
@@ -169,14 +161,7 @@ mod tests {
     #[test]
     fn simulated_render_produces_nonzero_image_and_time() {
         let (scene, accel, camera) = tiny_setup();
-        let report = render_simulated(
-            &accel,
-            &scene,
-            &camera,
-            None,
-            &RenderConfig::default(),
-            GpuConfig::default(),
-        );
+        let report = simulate(&accel, &scene, &camera, None, &RenderConfig::default());
         assert!(report.time_ms > 0.0);
         assert!(report.stats.node_fetches_total > 0);
         assert!(
@@ -191,8 +176,7 @@ mod tests {
     fn simulated_and_functional_images_match() {
         let (scene, accel, camera) = tiny_setup();
         let config = RenderConfig::default();
-        let sim_img =
-            render_simulated(&accel, &scene, &camera, None, &config, GpuConfig::default()).image;
+        let sim_img = simulate(&accel, &scene, &camera, None, &config).image;
         let fun_img = render_functional(&accel, &scene, &camera, &config);
         assert_eq!(
             sim_img.psnr(&fun_img),
@@ -220,8 +204,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let r_base = render_simulated(&accel, &scene, &camera, None, &base, GpuConfig::default());
-        let r_ckpt = render_simulated(&accel, &scene, &camera, None, &ckpt, GpuConfig::default());
+        let r_base = simulate(&accel, &scene, &camera, None, &base);
+        let r_ckpt = simulate(&accel, &scene, &camera, None, &ckpt);
         assert_eq!(
             r_base.image.psnr(&r_ckpt.image),
             f64::INFINITY,
@@ -239,13 +223,12 @@ mod tests {
     fn effects_produce_secondary_breakdown() {
         let (scene, accel, camera) = tiny_setup();
         let effects = EffectObjects::place_in(SceneKind::Train.profile().half_extent, 3);
-        let report = render_simulated(
+        let report = simulate(
             &accel,
             &scene,
             &camera,
             Some(&effects),
             &RenderConfig::default(),
-            GpuConfig::default(),
         );
         if let Some(s) = report.secondary {
             assert!(s.secondary_rays > 0);
@@ -266,15 +249,8 @@ mod tests {
             charge_blending: false,
             ..Default::default()
         };
-        let r_full = render_simulated(&accel, &scene, &camera, None, &full, GpuConfig::default());
-        let r_trav = render_simulated(
-            &accel,
-            &scene,
-            &camera,
-            None,
-            &traversal_only,
-            GpuConfig::default(),
-        );
+        let r_full = simulate(&accel, &scene, &camera, None, &full);
+        let r_trav = simulate(&accel, &scene, &camera, None, &traversal_only);
         assert!(r_trav.cycles <= r_full.cycles);
         assert_eq!(r_full.image.psnr(&r_trav.image), f64::INFINITY);
     }

@@ -1,5 +1,5 @@
-//! The batched multi-camera engine's contract: `render_batch` of N
-//! cameras is bit-identical, per camera, to N standalone `render()`
+//! The batched multi-camera engine's contract: `try_render_batch` of N
+//! cameras is bit-identical, per camera, to N standalone `try_render()`
 //! calls — on images, cycles, statistics, and footprints — at every
 //! thread count, for pinhole and fisheye views, with and without
 //! secondary-ray effect objects.
@@ -64,10 +64,14 @@ fn assert_batch_matches_standalone(effects: Option<&EffectObjects>) {
     };
     for threads in [1usize, 4] {
         let engine = RenderEngine::new(GpuConfig::default()).with_threads(threads);
-        let batch = engine.render_batch(&accel, &scene, &cameras, effects, &config);
+        let batch = engine
+            .try_render_batch(&accel, &scene, &cameras, effects, &config)
+            .unwrap();
         assert_eq!(batch.len(), cameras.len());
         for (i, (camera, batched)) in cameras.iter().zip(&batch).enumerate() {
-            let standalone = engine.render(&accel, &scene, camera, effects, &config);
+            let standalone = engine
+                .try_render(&accel, &scene, camera, effects, &config)
+                .unwrap();
             let tag = format!("camera {i}, {threads} threads");
             assert_eq!(
                 standalone.image.pixels(),
@@ -115,7 +119,8 @@ fn batch_results_are_thread_count_invariant() {
     let render = |threads: usize| {
         RenderEngine::new(GpuConfig::default())
             .with_threads(threads)
-            .render_batch(&accel, &scene, &cameras, None, &config)
+            .try_render_batch(&accel, &scene, &cameras, None, &config)
+            .unwrap()
     };
     let serial = render(1);
     for threads in [2, 8] {
@@ -141,7 +146,8 @@ fn batched_fisheye_corners_show_the_background() {
     };
     assert!(cameras[1].primary_ray(0, 0).is_none(), "fisheye corner");
     let batch = RenderEngine::new(GpuConfig::default())
-        .render_batch(&accel, &scene, &cameras, None, &config);
+        .try_render_batch(&accel, &scene, &cameras, None, &config)
+        .unwrap();
     assert_eq!(batch[1].image.pixel(0), background);
 }
 
@@ -198,13 +204,17 @@ fn four_camera_batch_beats_sequential_renders() {
     let mut seq_s = f64::INFINITY;
     for _ in 0..2 {
         let start = Instant::now();
-        let reports = engine.render_batch(&accel, &scene, &cameras, None, &config);
+        let reports = engine
+            .try_render_batch(&accel, &scene, &cameras, None, &config)
+            .unwrap();
         batch_s = batch_s.min(start.elapsed().as_secs_f64());
         assert_eq!(reports.len(), 4);
 
         let start = Instant::now();
         for camera in &cameras {
-            let report = engine.render(&accel, &scene, camera, None, &config);
+            let report = engine
+                .try_render(&accel, &scene, camera, None, &config)
+                .unwrap();
             assert!(report.cycles > 0);
         }
         seq_s = seq_s.min(start.elapsed().as_secs_f64());

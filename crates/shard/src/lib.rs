@@ -1,24 +1,19 @@
 #![forbid(unsafe_code)]
 
-//! Scene sharding: spatial shards with per-shard acceleration
-//! structures, parallel builds, and deterministic sharded rendering.
+//! Scene sharding: parallel per-shard acceleration-structure builds
+//! with deterministic stitching.
 //!
 //! Multi-million-Gaussian scenes make the TLAS the build bottleneck: the
-//! binned-SAH builder is serial and whole-scene. This crate splits a
-//! [`GaussianScene`](grtx_scene::GaussianScene) into K spatial shards and
-//! builds one acceleration subtree per shard in parallel:
-//!
-//! * [`ScenePartition`] — the spatial partitioner. Each cut is an
-//!   axis-aligned plane chosen by the canonical builder's own binned-SAH
-//!   decision (median fallback for degenerate distributions), and every
-//!   Gaussian lands in exactly one shard.
-//! * [`ShardedAccel`] — builds per-shard subtrees concurrently over
-//!   `std::thread::scope` workers (the render engine's fan-out pattern)
-//!   and stitches them, in shard order, under the *shard directory*: the
-//!   small top-level shard BVH a ray walks before dispatching into a
-//!   shard's subtree. Byte accounting is reported per shard and for the
-//!   directory, summing exactly to the whole-structure
-//!   [`BvhSizeReport`](grtx_bvh::BvhSizeReport).
+//! binned-SAH builder is serial and whole-scene. [`ShardedAccel`] splits
+//! the structure's build primitives into K spatial shards along the
+//! canonical builder's own top-of-tree splits
+//! ([`grtx_bvh::plan_frontier`]), builds one subtree per shard
+//! concurrently over `std::thread::scope` workers (the render engine's
+//! fan-out pattern), and stitches them, in shard order, under the *shard
+//! directory*: the small top-level shard BVH a ray walks before
+//! dispatching into a shard's subtree. Byte accounting is reported per
+//! shard and for the directory, summing exactly to the whole-structure
+//! [`BvhSizeReport`](grtx_bvh::BvhSizeReport).
 //!
 //! # Determinism guarantee
 //!
@@ -31,10 +26,6 @@
 //! this crate's structural tests and by the end-to-end render tests in
 //! the experiment layer.
 //!
-//! Shard subtrees are self-contained (contiguous node and primitive
-//! ranges), which is the foundation for incremental per-shard rebuilds,
-//! out-of-core shard residency, and distributed rendering.
-//!
 //! The async frame pipeline (`grtx-pipeline`) reuses [`ShardedAccel`]
 //! as its build stage: every rebuild frame of a stream constructs its
 //! structure through this crate's parallel builder, and the determinism
@@ -42,10 +33,8 @@
 //! sequential ones at any shard count.
 
 pub mod accel;
-pub mod partition;
 
 pub use accel::{ShardInfo, ShardedAccel, ShardingSummary};
-pub use partition::{ScenePartition, ShardSpec};
 
 /// Worker threads a parallel phase should actually use: `requested = 0`
 /// means all available cores, clamped to `1..=work_items`.

@@ -56,7 +56,7 @@ pub mod hist;
 pub mod report;
 
 pub use hist::Histogram;
-pub use report::{CounterSummary, HistogramSummary, SpanSummary, TelemetryReport};
+pub use report::{escape_json, CounterSummary, HistogramSummary, SpanSummary, TelemetryReport};
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

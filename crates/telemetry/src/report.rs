@@ -188,8 +188,9 @@ impl TelemetryReport {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal: quotes,
+/// backslashes, and every control character.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
