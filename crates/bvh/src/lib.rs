@@ -52,29 +52,60 @@ use grtx_math::simd::{ray_triangle_4, Tri4};
 use grtx_math::Ray;
 use grtx_scene::GaussianScene;
 
-/// Shared 4-wide mesh-leaf kernel: backface-culls and intersects up to
-/// 4 gathered triangle lanes against `ray`, reproducing the scalar
-/// path's exact per-lane operations (cull normal/dot first, then
-/// Möller–Trumbore). Lane `i` is `Some(t)` on a front-face hit, `None`
-/// when culled or missed. Both leaf organizations
-/// ([`MonolithicBvh::intersect_tri4`] and
+/// Shared 4-wide mesh-leaf kernel: intersects up to 4 contiguous
+/// leaf-order triangles with `ray` in one [`ray_triangle_4`] call and
+/// keeps only front-facing hits (the kernel's [`Tri4Hit::front`] mask,
+/// bitwise the scalar backface cull). Lane `i` is `Some(t)` on a
+/// front-face hit, `None` when culled or missed. Both leaf
+/// organizations ([`MonolithicBvh::intersect_tri4`] and
 /// [`TwoLevelBvh::intersect_blas_tri4`]) route through this single
 /// bit-parity-critical sequence.
+///
+/// [`Tri4Hit::front`]: grtx_math::simd::Tri4Hit::front
+#[inline]
 pub(crate) fn intersect_tri_lanes(tris: &[[grtx_math::Vec3; 3]], ray: &Ray) -> [Option<f32>; 4] {
-    let mut culled = [true; 4];
-    for (i, [a, b, c]) in tris.iter().enumerate() {
-        // Backface culling, with the scalar path's exact operations.
-        let normal = (*b - *a).cross(*c - *a);
-        culled[i] = ray.direction.dot(normal) >= 0.0;
-    }
     let hit = ray_triangle_4(ray, &Tri4::from_triangles(tris));
-    let mut out = [None; 4];
-    for (i, &was_culled) in culled.iter().enumerate().take(tris.len()) {
-        if !was_culled {
-            out[i] = hit.hit(i).map(|h| h.t);
+    let live = hit.mask & hit.front;
+    std::array::from_fn(|i| (live & (1 << i) != 0).then_some(hit.t[i]))
+}
+
+/// Reorders `data` in place so that `data[pos]` becomes the old
+/// `data[order[pos]]`. Each permutation cycle is walked once and one bit
+/// per element marks the positions already placed, so no second copy of
+/// the payload is ever live (a gather would double the peak footprint of
+/// a multi-million-triangle structure).
+///
+/// # Panics
+///
+/// Panics if the lengths differ or `order` is not a permutation.
+pub(crate) fn permute_to_leaf_order<T: Copy>(data: &mut [T], order: &[u32]) {
+    assert_eq!(
+        data.len(),
+        order.len(),
+        "payload and prim_order lengths differ"
+    );
+    let mut placed = vec![0u64; data.len().div_ceil(64)];
+    for start in 0..data.len() {
+        if placed[start / 64] & (1 << (start % 64)) != 0 {
+            continue;
+        }
+        let first = data[start];
+        let mut pos = start;
+        loop {
+            placed[pos / 64] |= 1 << (pos % 64);
+            let src = order[pos] as usize;
+            if src == start {
+                data[pos] = first;
+                break;
+            }
+            assert!(
+                placed[src / 64] & (1 << (src % 64)) == 0,
+                "prim_order is not a permutation"
+            );
+            data[pos] = data[src];
+            pos = src;
         }
     }
-    out
 }
 
 /// One [`BuildPrim`] per Gaussian at the scene's bounding radius, in

@@ -15,12 +15,13 @@ use grtx_scene::{GaussianScene, TemplateMesh};
 /// Primitive payloads stored in monolithic leaves.
 #[derive(Debug)]
 pub enum MonoPrimData {
-    /// World-space proxy triangles: per-triangle corner positions and
-    /// owning Gaussian.
+    /// World-space proxy triangles in BVH leaf order: index `pos` is the
+    /// triangle at `prim_order` position `pos` (creation-order triangle
+    /// `bvh.prim_order[pos]`), so a leaf range is one contiguous slice.
     Triangles {
-        /// Corner positions per triangle.
+        /// Corner positions per leaf position.
         verts: Vec<[Vec3; 3]>,
-        /// Owning Gaussian per triangle.
+        /// Owning Gaussian per leaf position.
         gaussian_of: Vec<u32>,
     },
     /// One software ellipsoid per Gaussian; primitive id == Gaussian id,
@@ -142,14 +143,23 @@ impl MonolithicBvh {
 
     /// Wraps an externally built mesh-proxy BVH (e.g. a sharded parallel
     /// build over [`Self::mesh_build_prims`]) with the leaf payloads,
-    /// addresses, and byte accounting.
+    /// addresses, and byte accounting. `verts` and `gaussian_of` arrive
+    /// in creation order and are permuted in place into leaf order
+    /// ([`MonoPrimData::Triangles`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload lengths differ from the BVH's primitive
+    /// count or `bvh.prim_order` is not a permutation.
     pub fn assemble_mesh(
         primitive: BoundingPrimitive,
-        verts: Vec<[Vec3; 3]>,
-        gaussian_of: Vec<u32>,
+        mut verts: Vec<[Vec3; 3]>,
+        mut gaussian_of: Vec<u32>,
         bvh: WideBvh,
         layout: &LayoutConfig,
     ) -> Self {
+        crate::permute_to_leaf_order(&mut verts, &bvh.prim_order);
+        crate::permute_to_leaf_order(&mut gaussian_of, &bvh.prim_order);
         let mut space = AddressSpace::new();
         let node_base = space.alloc(bvh.node_count() as u64, layout.node_bytes);
         let prim_base = space.alloc(bvh.prim_count() as u64, layout.triangle_bytes);
@@ -197,25 +207,23 @@ impl MonolithicBvh {
         prim_pos: u32,
         ray: &Ray,
     ) -> Option<(u32, f32)> {
-        let prim_id = self.bvh.prim_order[prim_pos as usize];
         match &self.prims {
             MonoPrimData::Triangles { verts, gaussian_of } => {
-                let [a, b, c] = verts[prim_id as usize];
+                let [a, b, c] = verts[prim_pos as usize];
                 // Backface culling: keep only front-facing hits
                 // (direction opposing the outward normal).
                 let n = (b - a).cross(c - a);
                 if ray.direction.dot(n) >= 0.0 {
                     return None;
                 }
-                intersect::ray_triangle(ray, a, b, c).map(|h| (gaussian_of[prim_id as usize], h.t))
+                intersect::ray_triangle(ray, a, b, c).map(|h| (gaussian_of[prim_pos as usize], h.t))
             }
             MonoPrimData::Ellipsoids => {
-                let g = scene.gaussian(prim_id as usize);
+                let prim_id = self.bvh.prim_order[prim_pos as usize];
                 let instance = scene.instance_transform(prim_id as usize);
                 let local = instance.inverse_transform_ray(ray);
                 intersect::ray_sphere_unit(&local).map(|h| {
                     let t = if h.t_enter > 0.0 { h.t_enter } else { h.t_exit };
-                    let _ = g;
                     (prim_id, t)
                 })
             }
@@ -236,19 +244,10 @@ impl MonolithicBvh {
             panic!("batched triangle tests require mesh proxies")
         };
         assert!(n <= 4, "at most 4 lanes");
-        let mut tris = [[Vec3::ZERO; 3]; 4];
-        let mut gaussians = [0u32; 4];
-        for (i, lane) in tris.iter_mut().enumerate().take(n) {
-            let prim_id = self.bvh.prim_order[start as usize + i] as usize;
-            *lane = verts[prim_id];
-            gaussians[i] = gaussian_of[prim_id];
-        }
-        let hits = crate::intersect_tri_lanes(&tris[..n], ray);
-        let mut out = [None; 4];
-        for i in 0..n {
-            out[i] = hits[i].map(|t| (gaussians[i], t));
-        }
-        out
+        let range = start as usize..start as usize + n;
+        let hits = crate::intersect_tri_lanes(&verts[range.clone()], ray);
+        let gaussians = &gaussian_of[range];
+        std::array::from_fn(|i| hits[i].map(|t| (gaussians[i], t)))
     }
 
     /// Byte address of node `id`.
@@ -397,7 +396,7 @@ mod tests {
     fn bvh_structure_is_valid() {
         let scene = small_scene();
         let m = MonolithicBvh::build(&scene, BoundingPrimitive::Mesh20, &LayoutConfig::default());
-        let aabbs: Vec<grtx_math::Aabb> = match &m.prims {
+        let leaf_aabbs: Vec<grtx_math::Aabb> = match &m.prims {
             MonoPrimData::Triangles { verts, .. } => verts
                 .iter()
                 .map(|tri| {
@@ -410,6 +409,11 @@ mod tests {
                 .collect(),
             _ => unreachable!(),
         };
+        // The payload is in leaf order; `validate` takes creation order.
+        let mut aabbs = leaf_aabbs.clone();
+        for (pos, &id) in m.bvh.prim_order.iter().enumerate() {
+            aabbs[id as usize] = leaf_aabbs[pos];
+        }
         m.bvh.validate(&aabbs, 1e-3).expect("valid");
     }
 }

@@ -21,6 +21,13 @@
 //! All memory traffic and fixed-function work is reported through a
 //! [`TraversalObserver`] so `grtx-sim` can charge cycle costs and model
 //! caches without this module knowing about either.
+//!
+//! [`trace_round`] is generic over the observer and the any-hit shader,
+//! so both are dispatched statically: a [`NullObserver`] run compiles
+//! its hooks away and a simulator observer inlines into the loop. The
+//! leaf payloads it tests are stored in BVH leaf order, so a leaf range
+//! is one contiguous slice handed straight to the 4-wide triangle
+//! kernel.
 
 use crate::monolithic::MonolithicBvh;
 use crate::two_level::{SharedBlas, TwoLevelBvh};
@@ -219,16 +226,20 @@ pub struct RoundOutcome {
 /// * `any_hit` — the any-hit shader: receives `(gaussian id, t_hit)` and
 ///   decides whether to commit (shrink `t_max`) or ignore.
 #[allow(clippy::too_many_arguments)] // mirrors the traceRayEXT surface: structure, ray, interval, buffers, hooks
-pub fn trace_round(
+pub fn trace_round<O, F>(
     accel: &AccelStruct,
     scene: &GaussianScene,
     ray: &Ray,
     t_min: f32,
     replay_source: Option<&[CheckpointEntry]>,
     checkpoint_dest: CheckpointSink<'_>,
-    observer: &mut dyn TraversalObserver,
-    any_hit: &mut dyn FnMut(u32, f32) -> AnyHitVerdict,
-) -> RoundOutcome {
+    observer: &mut O,
+    any_hit: &mut F,
+) -> RoundOutcome
+where
+    O: TraversalObserver + ?Sized,
+    F: FnMut(u32, f32) -> AnyHitVerdict + ?Sized,
+{
     let mut ctx = TraceCtx {
         accel,
         scene,
@@ -241,6 +252,7 @@ pub fn trace_round(
         any_hit,
         dest: checkpoint_dest,
         stack: Vec::with_capacity(64),
+        blas_stack: Vec::new(),
         outcome: RoundOutcome::default(),
     };
 
@@ -270,20 +282,27 @@ pub fn trace_round(
     ctx.outcome
 }
 
-struct TraceCtx<'a> {
+struct TraceCtx<'a, O: ?Sized, F: ?Sized> {
     accel: &'a AccelStruct,
     scene: &'a GaussianScene,
     ray: &'a Ray,
     ray_inv: RayInv,
     interval: Interval,
-    observer: &'a mut dyn TraversalObserver,
-    any_hit: &'a mut dyn FnMut(u32, f32) -> AnyHitVerdict,
+    observer: &'a mut O,
+    any_hit: &'a mut F,
     dest: CheckpointSink<'a>,
     stack: Vec<(f32, Slot)>,
+    /// [`Self::drain_blas`]'s stack, kept across instance entries so a
+    /// round allocates it at most once (it is never re-entered).
+    blas_stack: Vec<(f32, BlasItem)>,
     outcome: RoundOutcome,
 }
 
-impl<'a> TraceCtx<'a> {
+impl<'a, O, F> TraceCtx<'a, O, F>
+where
+    O: TraversalObserver + ?Sized,
+    F: FnMut(u32, f32) -> AnyHitVerdict + ?Sized,
+{
     /// Tests the root AABB and pushes the root node if the ray enters the
     /// scene within the interval.
     fn push_root_checked(&mut self, bvh: &WideBvh, make: impl Fn(u32) -> Slot) {
@@ -346,7 +365,7 @@ impl<'a> TraceCtx<'a> {
             Slot::BlasNode { instance, node } => {
                 let two = self.two_level();
                 let local = self.enter_instance(two, instance);
-                self.drain_blas(two, instance, &local, vec![(entry.t, node)]);
+                self.drain_blas(two, instance, &local, entry.t, node);
             }
             Slot::Instance(instance) => {
                 let two = self.two_level();
@@ -453,7 +472,7 @@ impl<'a> TraceCtx<'a> {
                 Slot::BlasNode { instance, node } => {
                     let two = self.two_level();
                     let local = self.enter_instance(two, instance);
-                    self.drain_blas(two, instance, &local, vec![(t_key, node)]);
+                    self.drain_blas(two, instance, &local, t_key, node);
                 }
                 Slot::BlasLeaf {
                     instance,
@@ -614,7 +633,7 @@ impl<'a> TraceCtx<'a> {
                 self.process_sphere_prim(two, instance, &local);
             }
             SharedBlas::Mesh { .. } => {
-                self.drain_blas(two, instance, &local, vec![(t_key, 0)]);
+                self.drain_blas(two, instance, &local, t_key, 0);
             }
         }
     }
@@ -634,15 +653,16 @@ impl<'a> TraceCtx<'a> {
         }
     }
 
-    /// Drains a BLAS subtree with a local stack (the ray stays in object
-    /// space for the whole subtree — one transform per instance entry,
-    /// as in hardware).
+    /// Drains the BLAS subtree under node `root` (entered at `t_root`)
+    /// with its own stack (the ray stays in object space for the whole
+    /// subtree — one transform per instance entry, as in hardware).
     fn drain_blas(
         &mut self,
         two: &'a TwoLevelBvh,
         instance: u32,
         local: &Ray,
-        init: Vec<(f32, u32)>,
+        t_root: f32,
+        root: u32,
     ) {
         let SharedBlas::Mesh { bvh, .. } = &two.blas else {
             unreachable!("drain_blas requires a mesh BLAS")
@@ -650,10 +670,8 @@ impl<'a> TraceCtx<'a> {
         // One slab-test view per instance entry: the object-space ray's
         // reciprocals serve every node of the BLAS subtree.
         let local_inv = local.inv();
-        let mut stack: Vec<(f32, BlasItem)> = init
-            .into_iter()
-            .map(|(t, n)| (t, BlasItem::Node(n)))
-            .collect();
+        let mut stack = std::mem::take(&mut self.blas_stack);
+        stack.push((t_root, BlasItem::Node(root)));
         while let Some((t_key, item)) = stack.pop() {
             if t_key > self.interval.t_max {
                 let slot = match item {
@@ -726,6 +744,7 @@ impl<'a> TraceCtx<'a> {
                 }
             }
         }
+        self.blas_stack = stack;
     }
 
     fn process_blas_prims(

@@ -34,8 +34,10 @@ pub enum SharedBlas {
     Mesh {
         /// BVH over the template triangles.
         bvh: WideBvh,
-        /// The template geometry (unit-sphere circumscribed).
-        mesh: TemplateMesh,
+        /// The template triangles (unit-sphere circumscribed) in BVH leaf
+        /// order: index `pos` is template triangle `bvh.prim_order[pos]`,
+        /// so a leaf range is one contiguous slice.
+        tris: Vec<[Vec3; 3]>,
     },
     /// The software custom-primitive path evaluated after the transform
     /// (a unit-sphere test executed in an intersection shader).
@@ -130,10 +132,14 @@ impl TwoLevelBvh {
                 } else {
                     TemplateMesh::icosphere_80()
                 };
-                let tri_prims: Vec<BuildPrim> = (0..mesh.triangle_count())
-                    .map(|t| {
+                let mut tris: Vec<[Vec3; 3]> = (0..mesh.triangle_count())
+                    .map(|t| mesh.triangle_vertices(t))
+                    .collect();
+                let tri_prims: Vec<BuildPrim> = tris
+                    .iter()
+                    .map(|tri| {
                         let mut aabb = grtx_math::Aabb::EMPTY;
-                        for v in mesh.triangle_vertices(t) {
+                        for &v in tri {
                             aabb.grow_point(v);
                         }
                         BuildPrim::from_aabb(aabb)
@@ -146,8 +152,9 @@ impl TwoLevelBvh {
                         ..Default::default()
                     },
                 );
+                crate::permute_to_leaf_order(&mut tris, &bvh.prim_order);
                 let count = bvh.prim_count() as u64;
-                (SharedBlas::Mesh { bvh, mesh }, count, layout.triangle_bytes)
+                (SharedBlas::Mesh { bvh, tris }, count, layout.triangle_bytes)
             }
         };
 
@@ -219,9 +226,8 @@ impl TwoLevelBvh {
                     }
                 })
             }
-            SharedBlas::Mesh { bvh, mesh } => {
-                let tri = bvh.prim_order[prim_pos as usize] as usize;
-                let [a, b, c] = mesh.triangle_vertices(tri);
+            SharedBlas::Mesh { tris, .. } => {
+                let [a, b, c] = tris[prim_pos as usize];
                 let n = (b - a).cross(c - a);
                 if local_ray.direction.dot(n) >= 0.0 {
                     return None; // Backface culling, as in the monolithic path.
@@ -244,16 +250,11 @@ impl TwoLevelBvh {
     ///
     /// Panics if the BLAS is not a mesh or `n > 4`.
     pub fn intersect_blas_tri4(&self, start: u32, n: usize, local_ray: &Ray) -> [Option<f32>; 4] {
-        let SharedBlas::Mesh { bvh, mesh } = &self.blas else {
+        let SharedBlas::Mesh { tris, .. } = &self.blas else {
             panic!("batched triangle tests require a mesh BLAS")
         };
         assert!(n <= 4, "at most 4 lanes");
-        let mut tris = [[Vec3::ZERO; 3]; 4];
-        for (i, lane) in tris.iter_mut().enumerate().take(n) {
-            let tri = bvh.prim_order[start as usize + i] as usize;
-            *lane = mesh.triangle_vertices(tri);
-        }
-        crate::intersect_tri_lanes(&tris[..n], local_ray)
+        crate::intersect_tri_lanes(&tris[start as usize..start as usize + n], local_ray)
     }
 
     /// TLAS node address.

@@ -149,6 +149,117 @@ fn subnormal_clock_is_rejected() {
     assert_gpu_rejected("clock_mhz", |gpu| gpu.clock_mhz = f64::MIN_POSITIVE);
 }
 
+#[test]
+fn huge_caches_are_rejected() {
+    assert_gpu_rejected("l1_bytes", |gpu| gpu.l1_bytes = 1 << 62);
+    assert_gpu_rejected("l2_bytes", |gpu| gpu.l2_bytes = 1 << 62);
+}
+
+/// A `side`×`side` pinhole camera at `setup`'s viewpoint.
+fn square_camera(setup: &SceneSetup, side: u32) -> Camera {
+    Camera::look_at(
+        side,
+        side,
+        CameraModel::Pinhole { fov_y: 0.9 },
+        setup.camera.eye(),
+        grtx_math::Vec3::ZERO,
+        grtx_math::Vec3::Y,
+    )
+}
+
+#[test]
+fn huge_camera_is_rejected() {
+    let mut setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
+    setup.camera = square_camera(&setup, 1 << 20);
+    let options = RunOptions {
+        threads: 1,
+        ..Default::default()
+    };
+    match setup.try_run(&PipelineVariant::grtx(), &options) {
+        Err(GrtxError::InvalidCamera { reason }) => {
+            assert!(reason.contains("pixels"), "reason was {reason:?}")
+        }
+        Err(other) => panic!("expected InvalidCamera, got {other}"),
+        Ok(_) => panic!("expected InvalidCamera, got Ok"),
+    }
+}
+
+/// Oversized caches are an `InvalidConfig` before any frame starts, at
+/// depth 1 and 3.
+#[test]
+fn streams_reject_huge_caches() {
+    let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
+    let source = setup.orbit_source(1, 0.3);
+    let huge_l1 = GpuConfig {
+        l1_bytes: 1 << 62,
+        ..GpuConfig::default()
+    };
+    let huge_l2 = GpuConfig {
+        l2_bytes: 1 << 62,
+        ..GpuConfig::default()
+    };
+    for (field, gpu) in [("l1_bytes", huge_l1), ("l2_bytes", huge_l2)] {
+        let options = RunOptions {
+            threads: 2,
+            gpu,
+            ..Default::default()
+        };
+        for depth in [1usize, 3] {
+            match setup.try_run_stream(&source, 2, &PipelineVariant::grtx(), &options, depth) {
+                Err(GrtxError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(field), "{field}: reason was {reason:?}")
+                }
+                Err(other) => panic!("{field}, depth {depth}: expected InvalidConfig, got {other}"),
+                Ok(frames) => panic!(
+                    "{field}, depth {depth}: expected InvalidConfig, got {} frames",
+                    frames.len()
+                ),
+            }
+        }
+    }
+}
+
+/// Every frame shows the same scene through the same cameras.
+struct EveryFrame(FrameSpec);
+
+impl FrameSource for EveryFrame {
+    fn frame(&self, _index: usize) -> FrameSpec {
+        self.0.clone()
+    }
+}
+
+/// An oversized camera fails each frame with a typed `InvalidCamera`,
+/// at depth 1 and 3, instead of aborting on the launch allocation.
+#[test]
+fn streams_reject_huge_cameras() {
+    let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
+    let source = EveryFrame(FrameSpec {
+        scene: Some(Arc::new(setup.scene.clone())),
+        cameras: vec![square_camera(&setup, 1 << 20)],
+    });
+    for depth in [1usize, 3] {
+        let options = RunOptions {
+            threads: 2,
+            ..Default::default()
+        };
+        let frames = setup
+            .try_run_stream(&source, 2, &PipelineVariant::grtx(), &options, depth)
+            .unwrap_or_else(|e| panic!("depth {depth}: stream-level error {e}"));
+        assert_eq!(frames.len(), 2, "depth {depth}");
+        for frame in &frames {
+            match frame.error() {
+                Some(GrtxError::InvalidCamera { reason }) => {
+                    assert!(
+                        reason.contains("pixels"),
+                        "depth {depth}: reason was {reason:?}"
+                    )
+                }
+                other => panic!("depth {depth}: expected InvalidCamera, got {other:?}"),
+            }
+        }
+    }
+}
+
 /// Hardware unit spheres exist only behind instance transforms.
 fn monolithic_sphere() -> PipelineVariant {
     PipelineVariant {

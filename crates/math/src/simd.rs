@@ -6,7 +6,7 @@
 //! structure-of-arrays child layout ([`SoaAabbs`]) — one AVX2 register
 //! per lane array, every lane a real child — and a 4-wide batched
 //! Möller–Trumbore triangle test ([`ray_triangle_4`]) for BVH leaf
-//! ranges.
+//! ranges, which also reports each lane's backface-cull verdict.
 //!
 //! # Determinism contract
 //!
@@ -333,6 +333,10 @@ impl Tri4 {
 
 /// Result of one [`ray_triangle_4`] call. Lanes whose mask bit is clear
 /// hold garbage values.
+///
+/// `mask` is the two-sided Möller–Trumbore verdict; `front` is the
+/// backface-cull verdict the traversal ANDs with it, so a culled mesh
+/// leaf needs no scalar normal math outside the kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tri4Hit {
     /// Per-lane hit distance, valid where `mask` is set.
@@ -343,6 +347,11 @@ pub struct Tri4Hit {
     pub v: [f32; 4],
     /// Bit `i` set iff lane `i` is occupied and the ray hits it.
     pub mask: u8,
+    /// Bit `i` set iff lane `i` is occupied and front-facing to the ray:
+    /// `!(d · ((v1 − v0) × (v2 − v0)) >= 0)`, evaluated with
+    /// [`Vec3::cross`]/[`Vec3::dot`]'s operation order so it is bitwise
+    /// the scalar backface cull (a NaN product counts as front-facing).
+    pub front: u8,
 }
 
 impl Tri4Hit {
@@ -365,8 +374,10 @@ impl Tri4Hit {
 /// to back from one fetch).
 ///
 /// Lane `i` is bitwise identical to
-/// [`crate::intersect::ray_triangle`]`(ray, v0[i], v1[i], v2[i])`.
-/// Sentinel lanes (degenerate zero triangles) never set their mask bit.
+/// [`crate::intersect::ray_triangle`]`(ray, v0[i], v1[i], v2[i])`, and
+/// its [`Tri4Hit::front`] bit to the scalar cull
+/// `!(ray.direction.dot((v1 - v0).cross(v2 - v0)) >= 0.0)`.
+/// Sentinel lanes (degenerate zero triangles) never set either bit.
 #[inline]
 pub fn ray_triangle_4(ray: &Ray, tris: &Tri4) -> Tri4Hit {
     #[cfg(target_arch = "x86_64")]
@@ -400,6 +411,7 @@ pub fn ray_triangle_4_portable(ray: &Ray, tris: &Tri4) -> Tri4Hit {
         u: [0.0; 4],
         v: [0.0; 4],
         mask: 0,
+        front: 0,
     };
     for i in 0..4 {
         let e1x = tris.v1x[i] - tris.v0x[i];
@@ -408,6 +420,12 @@ pub fn ray_triangle_4_portable(ray: &Ray, tris: &Tri4) -> Tri4Hit {
         let e2x = tris.v2x[i] - tris.v0x[i];
         let e2y = tris.v2y[i] - tris.v0y[i];
         let e2z = tris.v2z[i] - tris.v0z[i];
+        // Backface cull: n = e1 × e2, front iff !(d · n >= 0).
+        let nx = e1y * e2z - e1z * e2y;
+        let ny = e1z * e2x - e1x * e2z;
+        let nz = e1x * e2y - e1y * e2x;
+        let facing = dx * nx + dy * ny + dz * nz;
+        out.front |= u8::from(!(facing >= 0.0)) << i;
         // p = direction × e2 (component order matches Vec3::cross).
         let px = dy * e2z - dz * e2y;
         let py = dz * e2x - dx * e2z;
@@ -438,6 +456,7 @@ pub fn ray_triangle_4_portable(ray: &Ray, tris: &Tri4) -> Tri4Hit {
         out.mask |= u8::from(pass) << i;
     }
     out.mask &= tris.lane_mask();
+    out.front &= tris.lane_mask();
     out
 }
 
@@ -616,6 +635,15 @@ mod x86 {
             let e2x = _mm_sub_ps(_mm_load_ps(tris.v2x.as_ptr()), v0x);
             let e2y = _mm_sub_ps(_mm_load_ps(tris.v2y.as_ptr()), v0y);
             let e2z = _mm_sub_ps(_mm_load_ps(tris.v2z.as_ptr()), v0z);
+            // front = !(d · (e1 × e2) >= 0): NaN counts as front, as in scalar.
+            let nx = _mm_sub_ps(_mm_mul_ps(e1y, e2z), _mm_mul_ps(e1z, e2y));
+            let ny = _mm_sub_ps(_mm_mul_ps(e1z, e2x), _mm_mul_ps(e1x, e2z));
+            let nz = _mm_sub_ps(_mm_mul_ps(e1x, e2y), _mm_mul_ps(e1y, e2x));
+            let facing = _mm_add_ps(
+                _mm_add_ps(_mm_mul_ps(dx, nx), _mm_mul_ps(dy, ny)),
+                _mm_mul_ps(dz, nz),
+            );
+            let front = _mm_cmpnge_ps(facing, _mm_setzero_ps());
             let px = _mm_sub_ps(_mm_mul_ps(dy, e2z), _mm_mul_ps(dz, e2y));
             let py = _mm_sub_ps(_mm_mul_ps(dz, e2x), _mm_mul_ps(dx, e2z));
             let pz = _mm_sub_ps(_mm_mul_ps(dx, e2y), _mm_mul_ps(dy, e2x));
@@ -668,11 +696,13 @@ mod x86 {
                 u: [0.0; 4],
                 v: [0.0; 4],
                 mask: 0,
+                front: 0,
             };
             _mm_storeu_ps(out.t.as_mut_ptr(), t);
             _mm_storeu_ps(out.u.as_mut_ptr(), u);
             _mm_storeu_ps(out.v.as_mut_ptr(), v);
             out.mask = (_mm_movemask_ps(pass) as u8) & tris.lane_mask();
+            out.front = (_mm_movemask_ps(front) as u8) & tris.lane_mask();
             out
         }
     }
@@ -816,6 +846,15 @@ mod neon {
             let e2x = vsubq_f32(vld1q_f32(tris.v2x.as_ptr()), v0x);
             let e2y = vsubq_f32(vld1q_f32(tris.v2y.as_ptr()), v0y);
             let e2z = vsubq_f32(vld1q_f32(tris.v2z.as_ptr()), v0z);
+            // front = !(d · (e1 × e2) >= 0): NaN counts as front, as in scalar.
+            let nx = vsubq_f32(vmulq_f32(e1y, e2z), vmulq_f32(e1z, e2y));
+            let ny = vsubq_f32(vmulq_f32(e1z, e2x), vmulq_f32(e1x, e2z));
+            let nz = vsubq_f32(vmulq_f32(e1x, e2y), vmulq_f32(e1y, e2x));
+            let facing = vaddq_f32(
+                vaddq_f32(vmulq_f32(dx, nx), vmulq_f32(dy, ny)),
+                vmulq_f32(dz, nz),
+            );
+            let front = vmvnq_u32(vcgeq_f32(facing, vdupq_n_f32(0.0)));
             let px = vsubq_f32(vmulq_f32(dy, e2z), vmulq_f32(dz, e2y));
             let py = vsubq_f32(vmulq_f32(dz, e2x), vmulq_f32(dx, e2z));
             let pz = vsubq_f32(vmulq_f32(dx, e2y), vmulq_f32(dy, e2x));
@@ -866,11 +905,13 @@ mod neon {
                 u: [0.0; 4],
                 v: [0.0; 4],
                 mask: 0,
+                front: 0,
             };
             vst1q_f32(out.t.as_mut_ptr(), t);
             vst1q_f32(out.u.as_mut_ptr(), u);
             vst1q_f32(out.v.as_mut_ptr(), v);
             out.mask = movemask(pass, 0) & tris.lane_mask();
+            out.front = movemask(front, 0) & tris.lane_mask();
             out
         }
     }

@@ -180,6 +180,105 @@ proptest! {
     }
 }
 
+/// Directions of every class the cull can meet: regular, axis-parallel
+/// (exact zeros), and poisoned by a NaN or infinite component.
+fn cull_direction() -> impl Strategy<Value = Vec3> {
+    (direction(), 0u32..6, 0u32..3).prop_map(|(d, class, axis)| {
+        let poison = match class {
+            4 => f32::NAN,
+            5 => f32::INFINITY,
+            _ => return d,
+        };
+        match axis {
+            0 => Vec3::new(poison, d.y, d.z),
+            1 => Vec3::new(d.x, poison, d.z),
+            _ => Vec3::new(d.x, d.y, poison),
+        }
+    })
+}
+
+/// [`triangle_case`] plus triangles whose edge products overflow, so the
+/// normal's components reach `inf - inf = NaN`: the inputs on which
+/// `!(x >= 0)` and `x < 0` disagree.
+fn cull_triangle() -> impl Strategy<Value = [Vec3; 3]> {
+    (triangle_case(), 0u32..4).prop_map(|(tri @ [v0, v1, v2], class)| match class {
+        0 => [v0, v0 + (v1 - v0) * 1e38, v0 + (v2 - v0) * 1e38],
+        _ => tri,
+    })
+}
+
+/// The leaf tests' scalar backface cull: `true` keeps the triangle
+/// (the traversal culls exactly when `d · n >= 0`, so NaN keeps it).
+fn scalar_front(ray: &Ray, [a, b, c]: [Vec3; 3]) -> bool {
+    let culled = ray.direction.dot((b - a).cross(c - a)) >= 0.0;
+    !culled
+}
+
+// The front-face mask is plain lane-wise arithmetic under every build
+// (`fma` contracts only the slab kernel), so it must equal the scalar
+// cull bit for bit everywhere.
+proptest! {
+    /// The dispatched kernel's front-face mask equals the portable
+    /// kernel's and the scalar cull on every lane, and padding lanes
+    /// stay clear.
+    #[test]
+    fn front_mask_equals_portable_and_scalar_cull(
+        tris in proptest::collection::vec(cull_triangle(), 0..5),
+        origin in vec3(-10.0..10.0),
+        dir in cull_direction(),
+    ) {
+        let ray = Ray::new(origin, dir);
+        let packet = Tri4::from_triangles(&tris);
+        let dispatched = ray_triangle_4(&ray, &packet);
+        let portable = ray_triangle_4_portable(&ray, &packet);
+        prop_assert_eq!(dispatched.front, portable.front, "front masks diverge");
+        for (i, tri) in tris.iter().enumerate() {
+            prop_assert_eq!(
+                dispatched.front & (1 << i) != 0,
+                scalar_front(&ray, *tri),
+                "lane {} disagrees with the scalar cull",
+                i
+            );
+        }
+        prop_assert_eq!(dispatched.front & !packet.lane_mask(), 0);
+    }
+}
+
+/// Fixed cull corners: a ray in the triangle's plane (`d · n == 0`, so
+/// culled), a NaN direction (kept, as the scalar `>=` fails on NaN), an
+/// overflowing normal, and a zero-area sliver.
+#[test]
+fn front_mask_known_hard_cases_match_scalar_cull() {
+    let tris = [
+        [Vec3::ZERO, Vec3::X, Vec3::Y],
+        [Vec3::ZERO, Vec3::Y, Vec3::X],
+        [Vec3::ZERO, Vec3::X * 3e38, Vec3::new(3e38, 3e38, 0.0)],
+        [Vec3::ZERO, Vec3::X, Vec3::X * 2.0],
+    ];
+    let rays = [
+        Ray::new(Vec3::new(0.25, 0.25, -2.0), Vec3::Z),
+        Ray::new(Vec3::new(0.25, 0.25, 2.0), -Vec3::Z),
+        Ray::new(Vec3::new(-1.0, 0.25, 0.0), Vec3::X),
+        Ray::new(Vec3::ZERO, Vec3::new(f32::NAN, 0.0, 1.0)),
+        Ray::new(Vec3::ZERO, Vec3::ZERO),
+    ];
+    let packet = Tri4::from_triangles(&tris);
+    for ray in &rays {
+        let dispatched = ray_triangle_4(ray, &packet);
+        assert_eq!(
+            dispatched.front,
+            ray_triangle_4_portable(ray, &packet).front
+        );
+        for (i, tri) in tris.iter().enumerate() {
+            assert_eq!(
+                dispatched.front & (1 << i) != 0,
+                scalar_front(ray, *tri),
+                "lane {i}, ray {ray:?}"
+            );
+        }
+    }
+}
+
 /// Deterministic worst-case corners, independent of the random driver:
 /// rays lying exactly in a slab plane (the `0 * inf` NaN case), inverted
 /// boxes, and boxes behind the origin.

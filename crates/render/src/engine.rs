@@ -833,11 +833,25 @@ pub const MIN_CLOCK_MHZ: f64 = 1.0;
 /// `k + 1` entries up front, so the bound keeps that reservation small.
 pub const MAX_K: usize = 1024;
 
+/// Largest L1 or L2 capacity, in bytes, [`validate_gpu`] accepts
+/// (256 MiB). Table I models a 128 KiB L1 and a 4 MiB L2, and the largest
+/// shipping GPU last-level caches are around 100 MiB. The cache model
+/// keeps an 8-byte tag per line, so at the smallest legal line size the
+/// bound caps one cache's tag array at 2 GiB of lazily zeroed memory
+/// instead of an allocation the host cannot satisfy.
+pub const MAX_CACHE_BYTES: usize = 256 << 20;
+
+/// Largest frame, in pixels, [`validate_camera`] accepts: 4096 × 4096.
+/// The paper renders views of about two megapixels; a launch plans one
+/// 48-byte ray job per pixel up front, so the bound keeps a frame's
+/// primary job array under 1 GiB.
+pub const MAX_PIXELS: u64 = 1 << 24;
+
 /// Rejects GPU configurations no hardware could execute: zero or more
 /// than [`MAX_SMS`] SMs, zero-size warps, zero SIMT lanes, an empty warp
 /// buffer, cache lines that are not a power of two, caches smaller than
-/// one line or with no ways, and a clock that is not finite or is below
-/// [`MIN_CLOCK_MHZ`].
+/// one line, larger than [`MAX_CACHE_BYTES`] or with no ways, and a clock
+/// that is not finite or is below [`MIN_CLOCK_MHZ`].
 pub fn validate_gpu(gpu: &GpuConfig) -> Result<(), GrtxError> {
     let invalid = |reason: String| Err(GrtxError::InvalidConfig { reason });
     let checks = [
@@ -868,6 +882,9 @@ pub fn validate_gpu(gpu: &GpuConfig) -> Result<(), GrtxError> {
                 "{name} must hold at least one {}-byte line, got {bytes}",
                 gpu.line_bytes
             ));
+        }
+        if bytes > MAX_CACHE_BYTES {
+            return invalid(format!("{name} must be <= {MAX_CACHE_BYTES}, got {bytes}"));
         }
     }
     if !(gpu.clock_mhz.is_finite() && gpu.clock_mhz >= MIN_CLOCK_MHZ) {
@@ -905,13 +922,22 @@ pub fn validate_structure(primitive: BoundingPrimitive, two_level: bool) -> Resu
 }
 
 /// Rejects cameras the renderer cannot shoot rays through:
-/// zero-resolution images and non-finite or non-positive projection
-/// parameters.
+/// zero-resolution images, frames above [`MAX_PIXELS`], and non-finite
+/// or non-positive projection parameters.
 pub fn validate_camera(camera: &Camera) -> Result<(), GrtxError> {
     if camera.width == 0 || camera.height == 0 {
         return Err(GrtxError::InvalidCamera {
             reason: format!(
                 "resolution must be nonzero, got {}x{}",
+                camera.width, camera.height
+            ),
+        });
+    }
+    let pixels = u64::from(camera.width) * u64::from(camera.height);
+    if pixels > MAX_PIXELS {
+        return Err(GrtxError::InvalidCamera {
+            reason: format!(
+                "resolution must be at most {MAX_PIXELS} pixels, got {}x{}",
                 camera.width, camera.height
             ),
         });

@@ -64,7 +64,8 @@ struct Splat {
 
 /// Rasterizes a scene with the 3DGS pipeline.
 ///
-/// Returns [`GrtxError::InvalidCamera`] for non-pinhole cameras —
+/// Returns [`GrtxError::InvalidCamera`] for cameras
+/// [`crate::validate_camera`] rejects and for non-pinhole cameras —
 /// exactly the limitation that motivates ray-traced Gaussians in the
 /// paper.
 pub fn try_render_rasterized(
@@ -73,6 +74,7 @@ pub fn try_render_rasterized(
     config: &RasterConfig,
     gpu: &GpuConfig,
 ) -> Result<RasterReport, GrtxError> {
+    crate::validate_camera(camera)?;
     let CameraModel::Pinhole { fov_y } = camera.model() else {
         return Err(GrtxError::InvalidCamera {
             reason:

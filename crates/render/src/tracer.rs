@@ -195,8 +195,9 @@ impl<'a> RayTracer<'a> {
     }
 
     /// Executes one tracing round (`traceRayEXT` + blending). No-op
-    /// returning `Done` if the ray already finished.
-    pub fn round(&mut self, observer: &mut dyn TraversalObserver) -> RoundReport {
+    /// returning `Done` if the ray already finished. Generic over the
+    /// observer so traversal dispatches its hooks statically.
+    pub fn round<O: TraversalObserver + ?Sized>(&mut self, observer: &mut O) -> RoundReport {
         if self.done {
             return RoundReport {
                 status: Some(RoundStatus::Done),
@@ -211,7 +212,7 @@ impl<'a> RayTracer<'a> {
         }
     }
 
-    fn single_round(&mut self, observer: &mut dyn TraversalObserver) -> RoundReport {
+    fn single_round<O: TraversalObserver + ?Sized>(&mut self, observer: &mut O) -> RoundReport {
         let mut all: Vec<Entry> = Vec::new();
         trace_round(
             self.accel,
@@ -256,9 +257,9 @@ impl<'a> RayTracer<'a> {
         }
     }
 
-    fn multi_round(
+    fn multi_round<O: TraversalObserver + ?Sized>(
         &mut self,
-        observer: &mut dyn TraversalObserver,
+        observer: &mut O,
         checkpointing: bool,
     ) -> RoundReport {
         let k = self.params.k;
@@ -373,7 +374,10 @@ impl<'a> RayTracer<'a> {
 
     /// Runs the ray to completion with the given observer, returning the
     /// final blend state (functional path used by tests and examples).
-    pub fn run_to_completion(&mut self, observer: &mut dyn TraversalObserver) -> BlendState {
+    pub fn run_to_completion<O: TraversalObserver + ?Sized>(
+        &mut self,
+        observer: &mut O,
+    ) -> BlendState {
         while !self.done {
             self.round(observer);
         }
