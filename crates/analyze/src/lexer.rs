@@ -22,8 +22,8 @@ pub struct Line {
     /// or suppress a lint.
     pub code: String,
     /// Code with comments removed but string contents preserved —
-    /// needed to read attributes like `#[cfg(feature = "fma")]`, whose
-    /// significant token lives inside a string literal.
+    /// needed to read attributes like `#[target_feature(enable = "avx2")]`,
+    /// whose significant token lives inside a string literal.
     pub full: String,
     /// Concatenated text of every comment on the line (`//`, `///`,
     /// `/* .. */`, including block-comment interiors on continuation

@@ -4,10 +4,10 @@
 //!
 //! Every equivalence suite in this repo proves the same thing end to
 //! end: parallel simulation is **bit-identical** to serial (threads,
-//! shards, BVH widths, telemetry on/off). The *source-level*
+//! shards, pipeline depths, telemetry on/off). The *source-level*
 //! invariants that make those tests pass — no wall clocks in merge
-//! paths, no hash-order iteration, total float ordering, FMA only
-//! behind its feature gate, audited `unsafe` — previously lived in
+//! paths, no hash-order iteration, total float ordering, no fused
+//! multiply-add, audited `unsafe` — previously lived in
 //! reviewers' heads. This crate turns them into machine-checked lints
 //! so the next subsystems (distributed serving, record/replay) cannot
 //! silently regress the contract.

@@ -149,10 +149,10 @@ pub const LINTS: &[LintInfo] = &[
     },
     LintInfo {
         id: "fma-containment",
-        summary: "mul_add only inside cfg(feature = \"fma\") regions of grtx-math",
-        rationale: "fused multiply-add contracts two roundings into one and changes bits; the \
-                    `fma` feature is the only sanctioned opt-in, everywhere else contraction \
-                    would silently fork the bit-identity baseline",
+        summary: "no mul_add — fused multiply-add needs a waiver",
+        rationale: "fused multiply-add contracts two roundings into one and changes bits; \
+                    every kernel and scalar reference computes `(a - b) * c` unfused, so \
+                    contraction would silently fork the bit-identity baseline",
     },
     LintInfo {
         id: "no-unscoped-spawn",
@@ -216,8 +216,6 @@ struct FileCx<'a> {
     attr: Vec<bool>,
     /// Line sits under `#[cfg(test)]` / `#[test]`.
     test_region: Vec<bool>,
-    /// Line sits under `#[cfg(feature = "fma")]`.
-    fma_region: Vec<bool>,
     waivers: Vec<Waiver>,
 }
 
@@ -328,12 +326,11 @@ impl<'a> FileCx<'a> {
             lines,
             attr,
             test_region: vec![false; n],
-            fma_region: vec![false; n],
             waivers: Vec::new(),
         };
 
-        // cfg(test) / #[test] and cfg(feature = "fma") regions: mark the
-        // extent of the item/statement each such attribute attaches to.
+        // cfg(test) / #[test] regions: mark the extent of the
+        // item/statement each such attribute attaches to.
         for i in 0..n {
             if !cx.attr[i] || !cx.lines[i].is_attr_start() {
                 continue; // not the first line of an attribute
@@ -343,19 +340,11 @@ impl<'a> FileCx<'a> {
                 || text.contains("cfg(all(test")
                 || text == "#[test]"
                 || text.starts_with("#[test]");
-            let is_fma = text.contains("cfg(feature=\"fma\")");
-            if !is_test && !is_fma {
+            if !is_test {
                 continue;
             }
             if let Some((start, end)) = cx.element_extent(i) {
-                for k in start..=end {
-                    if is_test {
-                        cx.test_region[k] = true;
-                    }
-                    if is_fma {
-                        cx.fma_region[k] = true;
-                    }
-                }
+                cx.test_region[start..=end].fill(true);
             }
         }
 
@@ -652,24 +641,19 @@ fn lint_float_total_order(cx: &FileCx, out: &mut Vec<Finding>) {
     }
 }
 
-/// `fma-containment`: `mul_add` outside `cfg(feature = "fma")` regions
-/// of the math crate.
+/// `fma-containment`: `mul_add` anywhere, unless waived.
 fn lint_fma_containment(cx: &FileCx, out: &mut Vec<Finding>) {
     for (i, line) in cx.lines.iter().enumerate() {
-        if !has_word(&line.code, "mul_add") {
-            continue;
-        }
-        let allowed =
-            cx.spec.crate_name == UNSAFE_CRATE && cx.spec.role == Role::Src && cx.fma_region[i];
-        if !allowed {
-            out.push(cx.finding(
-                i,
-                "fma-containment",
-                format!(
-                    "`mul_add` contracts rounding and changes bits — only \
-                     cfg(feature = \"fma\") regions of {UNSAFE_CRATE} may use it"
+        if has_word(&line.code, "mul_add") {
+            out.push(
+                cx.finding(
+                    i,
+                    "fma-containment",
+                    "`mul_add` contracts rounding and changes bits — compute the unfused \
+                 `a * b + c` or waive a path outside the bit-identity surface"
+                        .to_string(),
                 ),
-            ));
+            );
         }
     }
 }

@@ -355,10 +355,8 @@ pub fn shade(x: f32) -> f32 {
 "##,
     ));
     assert_eq!(ids(&r), ["fma-containment"]);
-}
 
-#[test]
-fn fma_containment_clean_inside_math_feature_region() {
+    // No region is sanctioned: a feature gate inside grtx-math fires too.
     let r = run(spec(
         "grtx-math",
         Role::Src,
@@ -373,7 +371,7 @@ pub fn slab(min: f32, inv: f32, n: f32) -> f32 {
 }
 "##,
     ));
-    assert!(r.is_clean(), "unexpected: {:?}", r.findings);
+    assert_eq!(ids(&r), ["fma-containment"]);
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! checkpoint-buffer measurements — all from the same four runs per
 //! scene, exactly as the paper derives them.
 
-use grtx::RunOptions;
-use grtx_bench::{banner, evaluation_scenes, fig13_variants, geomean};
+use grtx::{PipelineVariant, RunOptions};
+use grtx_bench::{banner, evaluation_scenes, geomean};
 use grtx_bvh::CHECKPOINT_ENTRY_BYTES;
 
 fn main() {
@@ -13,7 +13,7 @@ fn main() {
         "Figs. 13 (speedup), 14 (node fetches), 15 (fetch latency), 16 (L1), 17 (L2), 20 (buffers)",
     );
     let scenes = evaluation_scenes();
-    let variants = fig13_variants();
+    let variants = PipelineVariant::fig13_lineup();
     let opts = RunOptions::default();
 
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
@@ -62,7 +62,7 @@ fn main() {
         );
     }
     println!("\nGeomean speedups over Baseline (paper: GRTX-SW 2.00x, GRTX-HW 1.94x, GRTX 4.36x):");
-    for (variant, s) in fig13_variants().iter().zip(&speedups) {
+    for (variant, s) in variants.iter().zip(&speedups) {
         println!("  {:<9} {:.2}x", variant.name, geomean(s));
     }
 }

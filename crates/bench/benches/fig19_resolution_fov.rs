@@ -3,8 +3,8 @@
 //! increase ray coherence, which shrinks GRTX-SW's relative advantage
 //! but not GRTX-HW's.
 
-use grtx::{RunOptions, SceneSetup};
-use grtx_bench::{banner, fig13_variants, BENCH_SEED};
+use grtx::{PipelineVariant, RunOptions, SceneSetup};
+use grtx_bench::{banner, BENCH_SEED};
 use grtx_scene::SceneKind;
 
 fn main() {
@@ -18,6 +18,7 @@ fn main() {
     // resolution (the full 980x545 would dominate bench wall-clock; the
     // coherence effect is monotone in resolution).
     let hi_res = base_res * 3 / 2;
+    let variants = PipelineVariant::fig13_lineup();
     let opts = RunOptions::default();
 
     for (label, res, fov_scale) in [
@@ -38,12 +39,12 @@ fn main() {
                 .with_resolution(res, res)
                 .with_fov_y_deg(base_profile.fov_y_deg * fov_scale);
             let setup = SceneSetup::from_profile(kind, profile, divisor, BENCH_SEED);
-            let results: Vec<_> = fig13_variants()
+            let results: Vec<_> = variants
                 .iter()
                 .map(|v| setup.try_run(v, &opts).unwrap())
                 .collect();
             let base_ms = results[0].report.time_ms;
-            for (v, r) in fig13_variants().iter().zip(&results) {
+            for (v, r) in variants.iter().zip(&results) {
                 println!(
                     "{:<8} {:<9} {:>9.3} {:>9.2} {:>8.3}",
                     kind.name(),

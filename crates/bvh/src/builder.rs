@@ -3,9 +3,8 @@
 //! Standard top-down binned surface-area-heuristic build producing a
 //! binary tree, followed by a collapse into up-to-8-wide nodes — the
 //! same strategy Embree uses for the wide-BVH layouts the paper
-//! configures (Section V-A). [`BuilderConfig::wide_width`] narrows the
-//! collapse (e.g. to 6 for a BVH-6 baseline) so benches can report
-//! depth/node-fetch deltas against the default BVH-8.
+//! configures (Section V-A). Every wide node holds up to
+//! [`MAX_WIDTH`] = 8 children (BVH-8, one SIMD-kernel call per node).
 
 use crate::wide::{ChildKind, WideBvh, WideChild, WideNode, MAX_WIDTH};
 use grtx_math::{Aabb, Vec3};
@@ -38,31 +37,11 @@ impl BuildPrim {
 pub struct BuilderConfig {
     /// Leaves stop splitting at or below this primitive count.
     pub max_leaf_size: usize,
-    /// SAH cost of traversing an interior node relative to one
-    /// intersection test.
-    pub traversal_cost: f32,
-    /// Maximum children the collapse packs per wide node, clamped to
-    /// `2..=`[`MAX_WIDTH`]. The default is [`MAX_WIDTH`] (BVH-8, one
-    /// SIMD-kernel call per node); narrower widths exist so benches can
-    /// build a BVH-6 baseline and report depth/node-fetch deltas.
-    pub wide_width: usize,
-}
-
-impl BuilderConfig {
-    /// The collapse width actually used: `wide_width` clamped to
-    /// `2..=`[`MAX_WIDTH`].
-    pub fn clamped_width(&self) -> usize {
-        self.wide_width.clamp(2, MAX_WIDTH)
-    }
 }
 
 impl Default for BuilderConfig {
     fn default() -> Self {
-        Self {
-            max_leaf_size: 4,
-            traversal_cost: 1.0,
-            wide_width: MAX_WIDTH,
-        }
+        Self { max_leaf_size: 4 }
     }
 }
 
@@ -78,11 +57,11 @@ pub fn build_wide_bvh(prims: &[BuildPrim], config: &BuilderConfig) -> WideBvh {
         nodes: Vec::with_capacity(prims.len() / 2 + 1),
     };
     let root = build_binary(&mut arena, prims, &mut indices, 0, prims.len(), config);
-    finish_wide(&arena, root, indices, config.clamped_width())
+    finish_wide(&arena, root, indices)
 }
 
 /// Collapses a finished binary arena into the wide representation.
-fn finish_wide(arena: &BinaryArena, root: usize, indices: Vec<u32>, width: usize) -> WideBvh {
+fn finish_wide(arena: &BinaryArena, root: usize, indices: Vec<u32>) -> WideBvh {
     let mut wide = WideBvh {
         nodes: Vec::with_capacity(arena.nodes.len() / 3 + 1),
         prim_order: indices,
@@ -98,7 +77,7 @@ fn finish_wide(arena: &BinaryArena, root: usize, indices: Vec<u32>, width: usize
         wide.height = 1;
         return wide;
     }
-    let (root_id, height) = collapse(arena, root, &mut wide, width);
+    let (root_id, height) = collapse(arena, root, &mut wide);
     debug_assert_eq!(root_id, 0, "root must be node 0");
     wide.height = height;
     wide
@@ -264,15 +243,15 @@ fn partition(prims: &[BuildPrim], slice: &mut [u32], axis: usize, threshold: f32
     left
 }
 
-/// Collapses a binary subtree into up-to-`width`-wide nodes; returns
-/// `(wide node id, subtree height)`.
-fn collapse(arena: &BinaryArena, root: usize, out: &mut WideBvh, width: usize) -> (u32, u32) {
-    // Gather up to `width` subtree roots by repeatedly expanding the
+/// Collapses a binary subtree into up-to-[`MAX_WIDTH`]-wide nodes;
+/// returns `(wide node id, subtree height)`.
+fn collapse(arena: &BinaryArena, root: usize, out: &mut WideBvh) -> (u32, u32) {
+    // Gather up to `MAX_WIDTH` subtree roots by repeatedly expanding the
     // interior child with the largest surface area (the standard
     // SAH-greedy collapse). Each expansion swaps one slot for two, so
-    // the loop can overshoot `width` by at most one slot and the check
+    // the loop can overshoot `MAX_WIDTH` by at most one slot and the check
     // before expanding keeps the final count within bounds.
-    let mut slots: Vec<usize> = Vec::with_capacity(width);
+    let mut slots: Vec<usize> = Vec::with_capacity(MAX_WIDTH);
     match arena.nodes[root].kind {
         BinaryKind::Inner { left, right } => {
             slots.push(left);
@@ -281,7 +260,7 @@ fn collapse(arena: &BinaryArena, root: usize, out: &mut WideBvh, width: usize) -
         BinaryKind::Leaf { .. } => unreachable!("collapse called on a leaf"),
     }
     loop {
-        if slots.len() >= width {
+        if slots.len() >= MAX_WIDTH {
             break;
         }
         let expandable = slots
@@ -323,7 +302,7 @@ fn collapse(arena: &BinaryArena, root: usize, out: &mut WideBvh, width: usize) -
                 }
             }
             BinaryKind::Inner { .. } => {
-                let (child_id, h) = collapse(arena, id, out, width);
+                let (child_id, h) = collapse(arena, id, out);
                 max_child_height = max_child_height.max(h);
                 WideChild {
                     aabb: node.aabb,
@@ -391,9 +370,6 @@ pub struct SplitPlan {
     nodes: Vec<PlanNode>,
     root: usize,
     ranges: Vec<FrontierRange>,
-    /// Collapse width captured from the planning config so
-    /// [`assemble_wide_bvh`] reproduces the serial build exactly.
-    wide_width: usize,
 }
 
 impl SplitPlan {
@@ -428,7 +404,6 @@ pub fn plan_frontier(
         nodes: Vec::new(),
         root: 0,
         ranges: Vec::new(),
-        wide_width: config.clamped_width(),
     };
     if indices.is_empty() {
         return plan;
@@ -557,7 +532,7 @@ pub fn assemble_wide_bvh(
     };
     let mut subs: Vec<Option<BinarySubtree>> = subtrees.into_iter().map(Some).collect();
     let root = emit_plan(plan, plan.root, &mut arena, &mut subs);
-    finish_wide(&arena, root, indices, plan.wide_width)
+    finish_wide(&arena, root, indices)
 }
 
 /// Recursively emits a plan subtree into `arena` in canonical (post-)
@@ -679,43 +654,9 @@ mod tests {
     }
 
     #[test]
-    fn narrower_wide_width_is_respected_and_valid() {
-        let prims = grid_prims(600);
-        let aabbs: Vec<Aabb> = prims.iter().map(|p| p.aabb).collect();
-        for width in [2usize, 4, 6] {
-            let config = BuilderConfig {
-                wide_width: width,
-                ..Default::default()
-            };
-            let bvh = build_wide_bvh(&prims, &config);
-            bvh.validate(&aabbs, 1e-4).expect("valid BVH");
-            for n in &bvh.nodes {
-                assert!(n.len() <= width, "node wider than configured width");
-            }
-            // The decomposed path must reproduce the narrow build too.
-            for shards in [1usize, 4] {
-                assert_eq!(bvh, build_decomposed(&prims, shards, &config));
-            }
-        }
-        // Out-of-range widths clamp instead of breaking the build.
-        let clamped = BuilderConfig {
-            wide_width: 99,
-            ..Default::default()
-        };
-        assert_eq!(clamped.clamped_width(), MAX_WIDTH);
-        assert_eq!(
-            build_wide_bvh(&prims, &clamped),
-            build_wide_bvh(&prims, &BuilderConfig::default())
-        );
-    }
-
-    #[test]
     fn max_leaf_size_respected() {
         let prims = grid_prims(300);
-        let config = BuilderConfig {
-            max_leaf_size: 2,
-            ..Default::default()
-        };
+        let config = BuilderConfig { max_leaf_size: 2 };
         let bvh = build_wide_bvh(&prims, &config);
         for n in &bvh.nodes {
             for c in n.children() {
@@ -761,7 +702,6 @@ mod tests {
             let prims = grid_prims(n);
             let config = BuilderConfig {
                 max_leaf_size: max_leaf,
-                ..Default::default()
             };
             let serial = build_wide_bvh(&prims, &config);
             for shards in [1usize, 2, 3, 7, 16, 64] {
@@ -810,10 +750,7 @@ mod tests {
     fn plan_frontier_caps_shards_at_splittable_ranges() {
         let prims = grid_prims(3);
         let mut indices: Vec<u32> = (0..3).collect();
-        let config = BuilderConfig {
-            max_leaf_size: 1,
-            ..Default::default()
-        };
+        let config = BuilderConfig { max_leaf_size: 1 };
         let plan = plan_frontier(&prims, &mut indices, 64, &config);
         assert_eq!(plan.shard_count(), 3, "3 prims can fill at most 3 shards");
         let empty = plan_frontier(&prims, &mut [], 4, &config);

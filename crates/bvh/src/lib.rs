@@ -17,8 +17,7 @@
 //! Supporting modules:
 //!
 //! * [`builder`] — a binned-SAH builder producing up-to-8-wide BVHs,
-//!   mirroring Embree-style wide-BVH configurations (the collapse width
-//!   is configurable down to the BVH-6 baseline for comparisons);
+//!   mirroring Embree-style wide-BVH configurations;
 //! * [`layout`] — byte-level layout of nodes/primitives in a virtual
 //!   address space, for BVH size accounting (Table II) and for the cache
 //!   model of `grtx-sim`;

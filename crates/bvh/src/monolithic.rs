@@ -85,7 +85,6 @@ impl MonolithicBvh {
     pub fn builder_config(layout: &LayoutConfig) -> BuilderConfig {
         BuilderConfig {
             max_leaf_size: layout.mono_max_leaf,
-            ..Default::default()
         }
     }
 

@@ -84,7 +84,6 @@ impl TwoLevelBvh {
     pub fn tlas_builder_config(layout: &LayoutConfig) -> BuilderConfig {
         BuilderConfig {
             max_leaf_size: layout.tlas_max_leaf,
-            ..Default::default()
         }
     }
 
@@ -149,7 +148,6 @@ impl TwoLevelBvh {
                     &tri_prims,
                     &BuilderConfig {
                         max_leaf_size: layout.mono_max_leaf,
-                        ..Default::default()
                     },
                 );
                 crate::permute_to_leaf_order(&mut tris, &bvh.prim_order);

@@ -207,19 +207,10 @@ pub fn slab_test_8_portable(ray: &RayInv, boxes: &SoaAabbs) -> HitMask8 {
         ray.inv_direction.y,
         ray.inv_direction.z,
     );
-    // Opt-in contraction: (slab - o)*i == slab*i - o*i == slab.mul_add(i, -(o*i)).
-    // Fused rounding changes bits vs the default path (and axis-parallel
-    // rays turn the precomputed -(o*i) term into NaN, which the
-    // NaN-ignoring min/max resolve to a conservative full slab span), so
-    // the `fma` feature trades the bitwise-vs-scalar contract for fewer
-    // rounding steps and is benched separately.
-    #[cfg(feature = "fma")]
-    let (nx, ny, nz) = (-(ox * ix), -(oy * iy), -(oz * iz));
     let mut t_enter = [0.0f32; LANES];
     let mut t_exit = [0.0f32; LANES];
     let mut mask = 0u8;
     for i in 0..LANES {
-        #[cfg(not(feature = "fma"))]
         let (t0x, t1x, t0y, t1y, t0z, t1z) = (
             (boxes.min_x[i] - ox) * ix,
             (boxes.max_x[i] - ox) * ix,
@@ -227,15 +218,6 @@ pub fn slab_test_8_portable(ray: &RayInv, boxes: &SoaAabbs) -> HitMask8 {
             (boxes.max_y[i] - oy) * iy,
             (boxes.min_z[i] - oz) * iz,
             (boxes.max_z[i] - oz) * iz,
-        );
-        #[cfg(feature = "fma")]
-        let (t0x, t1x, t0y, t1y, t0z, t1z) = (
-            boxes.min_x[i].mul_add(ix, nx),
-            boxes.max_x[i].mul_add(ix, nx),
-            boxes.min_y[i].mul_add(iy, ny),
-            boxes.max_y[i].mul_add(iy, ny),
-            boxes.min_z[i].mul_add(iz, nz),
-            boxes.max_z[i].mul_add(iz, nz),
         );
         let near_x = t0x.min(t1x);
         let near_y = t0y.min(t1y);
@@ -468,21 +450,12 @@ mod x86 {
     use super::{HitMask8, Ray, RayInv, SoaAabbs, Tri4, Tri4Hit};
     use std::arch::x86_64::*;
 
-    /// `true` when the CPU has every feature the explicit slab kernels
-    /// were compiled against: AVX2, plus FMA under the `fma` cargo
-    /// feature. Folds to a constant when the features are statically
-    /// enabled (`-C target-cpu=native`).
+    /// `true` when the CPU has AVX2, the feature the explicit slab
+    /// kernels were compiled against. Folds to a constant when the
+    /// feature is statically enabled (`-C target-cpu=native`).
     #[inline]
     pub fn runtime_features_available() -> bool {
-        #[cfg(not(feature = "fma"))]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(feature = "fma")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        }
+        std::arch::is_x86_feature_detected!("avx2")
     }
 
     /// IEEE minNum (Rust `f32::min`): if one operand is NaN, the other
@@ -528,10 +501,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Callers must ensure the `avx2` (and, under the `fma` feature,
-    /// `fma`) target features are available.
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2,fma"))]
+    /// Callers must ensure the `avx2` target feature is available.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn slab_test_8_avx2(ray: &RayInv, boxes: &SoaAabbs) -> HitMask8 {
         // SAFETY: `SoaAabbs` is `#[repr(C, align(32))]` and each lane
         // array is `[f32; 8]` = 32 bytes, so every `_mm256_load_ps` is
@@ -554,7 +525,6 @@ mod x86 {
             let ix = _mm256_set1_ps(ray.inv_direction.x);
             let iy = _mm256_set1_ps(ray.inv_direction.y);
             let iz = _mm256_set1_ps(ray.inv_direction.z);
-            #[cfg(not(feature = "fma"))]
             let (t0x, t1x, t0y, t1y, t0z, t1z) = (
                 _mm256_mul_ps(_mm256_sub_ps(min_x, ox), ix),
                 _mm256_mul_ps(_mm256_sub_ps(max_x, ox), ix),
@@ -563,25 +533,6 @@ mod x86 {
                 _mm256_mul_ps(_mm256_sub_ps(min_z, oz), iz),
                 _mm256_mul_ps(_mm256_sub_ps(max_z, oz), iz),
             );
-            // Contracted form mirroring the portable `fma` path:
-            // fmsub(slab, i, o*i) == fma(slab, i, -(o*i)) exactly (the
-            // addend negation is sign-flip only, never a rounding step).
-            #[cfg(feature = "fma")]
-            let (t0x, t1x, t0y, t1y, t0z, t1z) = {
-                let (px, py, pz) = (
-                    _mm256_mul_ps(ox, ix),
-                    _mm256_mul_ps(oy, iy),
-                    _mm256_mul_ps(oz, iz),
-                );
-                (
-                    _mm256_fmsub_ps(min_x, ix, px),
-                    _mm256_fmsub_ps(max_x, ix, px),
-                    _mm256_fmsub_ps(min_y, iy, py),
-                    _mm256_fmsub_ps(max_y, iy, py),
-                    _mm256_fmsub_ps(min_z, iz, pz),
-                    _mm256_fmsub_ps(max_z, iz, pz),
-                )
-            };
             let near_x = min_num(t0x, t1x);
             let near_y = min_num(t0y, t1y);
             let near_z = min_num(t0z, t1z);
@@ -756,7 +707,6 @@ mod neon {
         // `lane <= LANES - 4` contract (`vld1q` has no alignment
         // requirement); the rest is register-only value math.
         unsafe {
-            #[cfg(not(feature = "fma"))]
             let (t0x, t1x, t0y, t1y, t0z, t1z) = (
                 vmulq_f32(vsubq_f32(vld1q_f32(boxes.min_x.as_ptr().add(lane)), ox), ix),
                 vmulq_f32(vsubq_f32(vld1q_f32(boxes.max_x.as_ptr().add(lane)), ox), ix),
@@ -765,22 +715,6 @@ mod neon {
                 vmulq_f32(vsubq_f32(vld1q_f32(boxes.min_z.as_ptr().add(lane)), oz), iz),
                 vmulq_f32(vsubq_f32(vld1q_f32(boxes.max_z.as_ptr().add(lane)), oz), iz),
             );
-            // Contracted form mirroring the portable `fma` path:
-            // vfmaq(-(o*i), slab, i) == slab*i - o*i with one fused rounding.
-            #[cfg(feature = "fma")]
-            let (t0x, t1x, t0y, t1y, t0z, t1z) = {
-                let nx = vnegq_f32(vmulq_f32(ox, ix));
-                let ny = vnegq_f32(vmulq_f32(oy, iy));
-                let nz = vnegq_f32(vmulq_f32(oz, iz));
-                (
-                    vfmaq_f32(nx, vld1q_f32(boxes.min_x.as_ptr().add(lane)), ix),
-                    vfmaq_f32(nx, vld1q_f32(boxes.max_x.as_ptr().add(lane)), ix),
-                    vfmaq_f32(ny, vld1q_f32(boxes.min_y.as_ptr().add(lane)), iy),
-                    vfmaq_f32(ny, vld1q_f32(boxes.max_y.as_ptr().add(lane)), iy),
-                    vfmaq_f32(nz, vld1q_f32(boxes.min_z.as_ptr().add(lane)), iz),
-                    vfmaq_f32(nz, vld1q_f32(boxes.max_z.as_ptr().add(lane)), iz),
-                )
-            };
             let near_x = vminnmq_f32(t0x, t1x);
             let near_y = vminnmq_f32(t0y, t1y);
             let near_z = vminnmq_f32(t0z, t1z);
@@ -924,7 +858,6 @@ mod tests {
 
     /// Masked-out lanes hold garbage (possibly NaN), so path-equality
     /// checks compare masks plus live-lane bits, not whole structs.
-    #[cfg(not(feature = "fma"))]
     fn assert_slab_paths_equal(a: &HitMask8, b: &HitMask8) {
         assert_eq!(a.mask, b.mask, "hit masks diverge");
         for i in 0..LANES {
@@ -966,10 +899,6 @@ mod tests {
         }
     }
 
-    // FMA contraction deliberately changes bits, so the bitwise-vs-scalar
-    // assertions only run on the default path; the `fma` build keeps the
-    // mask-level sanity tests below.
-    #[cfg(not(feature = "fma"))]
     #[test]
     fn slab_lanes_match_scalar_bitwise() {
         let boxes = boxes8();
@@ -993,7 +922,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "fma"))]
     #[test]
     fn axis_parallel_ray_matches_scalar() {
         // Zero direction components make the slab arithmetic produce
@@ -1028,28 +956,6 @@ mod tests {
             0,
             "empty node hits nothing"
         );
-    }
-
-    #[cfg(feature = "fma")]
-    #[test]
-    fn fma_kernel_agrees_with_scalar_on_clear_cut_hits() {
-        // Contraction shifts t values by at most one rounding step, so
-        // hit/miss decisions on non-borderline boxes still match the
-        // scalar test even though bits may differ.
-        let boxes = boxes8();
-        let soa = SoaAabbs::from_aabbs(&boxes);
-        let ray = Ray::new(
-            Vec3::new(-4.0, 0.1, 0.05),
-            Vec3::new(1.0, 0.02, 0.01).normalized(),
-        );
-        let hit = slab_test_8(&ray.inv(), &soa);
-        for (i, b) in boxes.iter().enumerate() {
-            assert_eq!(
-                b.intersect_ray(&ray).is_some(),
-                hit.hit(i).is_some(),
-                "lane {i} hit/miss diverged under fma"
-            );
-        }
     }
 
     #[test]

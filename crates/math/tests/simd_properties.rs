@@ -7,21 +7,13 @@
 //! boxes — including axis-parallel rays (zero direction components),
 //! degenerate boxes (`min == max`), inverted-interval boxes
 //! (`min > max`), and boxes entirely behind the origin — through both
-//! and compare bits.
-//!
-//! The `fma` cargo feature contracts the slab arithmetic and therefore
-//! deliberately breaks bitwise equality **with the scalar reference**;
-//! those assertions gate themselves off under the feature. The
-//! dispatched-vs-portable equalities hold on every build, `fma`
-//! included (both paths contract identically), and stay unconditional.
+//! and compare bits. Every assertion runs on every build.
 
 use grtx_math::simd::{
     ray_triangle_4, ray_triangle_4_portable, slab_test_8, slab_test_8_portable, HitMask8, SoaAabbs,
     Tri4, Tri4Hit, LANES,
 };
-#[cfg(not(feature = "fma"))]
-use grtx_math::{intersect::ray_triangle, Aabb};
-use grtx_math::{Ray, Vec3};
+use grtx_math::{intersect::ray_triangle, Aabb, Ray, Vec3};
 use proptest::prelude::*;
 
 fn finite_f32(range: std::ops::Range<f32>) -> impl Strategy<Value = f32> {
@@ -98,7 +90,6 @@ fn assert_tri_paths_equal(a: &Tri4Hit, b: &Tri4Hit) -> Result<(), TestCaseError>
     Ok(())
 }
 
-#[cfg(not(feature = "fma"))]
 proptest! {
     /// Lane `i` of the batched slab test reproduces the scalar
     /// `Aabb::intersect_ray` bit-for-bit on every box class, across the
@@ -150,9 +141,6 @@ proptest! {
     }
 }
 
-// Under `fma` the scalar reference no longer matches bitwise, but the
-// explicit paths contract exactly like the portable kernels, so these
-// equalities hold on every build.
 proptest! {
     /// The dispatched path (explicit AVX2/NEON when the CPU has it)
     /// produces exactly the portable kernel's bits.
@@ -214,9 +202,8 @@ fn scalar_front(ray: &Ray, [a, b, c]: [Vec3; 3]) -> bool {
     !culled
 }
 
-// The front-face mask is plain lane-wise arithmetic under every build
-// (`fma` contracts only the slab kernel), so it must equal the scalar
-// cull bit for bit everywhere.
+// The front-face mask is plain lane-wise arithmetic, so it must equal
+// the scalar cull bit for bit everywhere.
 proptest! {
     /// The dispatched kernel's front-face mask equals the portable
     /// kernel's and the scalar cull on every lane, and padding lanes
@@ -282,7 +269,6 @@ fn front_mask_known_hard_cases_match_scalar_cull() {
 /// Deterministic worst-case corners, independent of the random driver:
 /// rays lying exactly in a slab plane (the `0 * inf` NaN case), inverted
 /// boxes, and boxes behind the origin.
-#[cfg(not(feature = "fma"))]
 #[test]
 fn slab_known_hard_cases_match_scalar() {
     let boxes = vec![
