@@ -3,7 +3,7 @@
 //! count, at 1×/4×/10× scene scale — the scaling story behind the
 //! ROADMAP's multi-million-Gaussian / out-of-core / distributed goals.
 
-use grtx::{LayoutConfig, PipelineVariant, RunOptions, SceneSetup};
+use grtx::{LayoutConfig, PipelineVariant, RunOptions, SceneSetup, ShardedAccel};
 use grtx_bench::{banner, BENCH_SEED};
 use grtx_scene::SceneKind;
 use std::time::Instant;
@@ -41,7 +41,14 @@ fn main() {
         let mut last = None;
         for &shards in &shard_counts {
             let start = Instant::now();
-            let sharded = setup.build_sharded_accel(&variant, &layout, shards, 0);
+            let sharded = ShardedAccel::build(
+                &setup.scene,
+                variant.primitive,
+                variant.two_level,
+                &layout,
+                shards,
+                0,
+            );
             build_ms.push(start.elapsed().as_secs_f64() * 1e3);
             last = Some(sharded);
         }

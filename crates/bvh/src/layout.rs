@@ -90,11 +90,6 @@ impl AddressSpace {
         self.cursor = base + count * stride;
         base
     }
-
-    /// Total bytes spanned so far.
-    pub fn bytes_used(&self) -> u64 {
-        self.cursor
-    }
 }
 
 /// Size accounting for one acceleration structure (Table II, Fig. 5b,

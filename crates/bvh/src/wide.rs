@@ -143,15 +143,6 @@ impl WideBvh {
         self.nodes.len()
     }
 
-    /// Number of leaf ranges across all nodes.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .flat_map(|n| n.children())
-            .filter(|c| matches!(c.kind, ChildKind::Leaf { .. }))
-            .count()
-    }
-
     /// Number of primitives referenced.
     pub fn prim_count(&self) -> usize {
         self.prim_order.len()

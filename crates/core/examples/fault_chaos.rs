@@ -28,7 +28,6 @@ use std::path::PathBuf;
 /// Pinned scatter seed — the report is reproducible byte for byte.
 const SEED: u64 = 2026;
 const FRAMES: usize = 6;
-const DEPTH: usize = 3;
 /// The frame the permanent build fault quarantines.
 const PERMANENT_FRAME: u64 = 2;
 
@@ -50,7 +49,7 @@ fn main() -> std::io::Result<()> {
         ..Default::default()
     };
     let baseline = setup
-        .try_run_stream(&source, FRAMES, &variant, &clean, DEPTH)
+        .try_run_stream(&source, FRAMES, &variant, &clean, 1)
         .expect("valid configuration");
 
     // The permanent spec comes first: `fault_for` takes the first
@@ -68,7 +67,7 @@ fn main() -> std::io::Result<()> {
         ..clean.clone()
     };
     let frames = setup
-        .try_run_stream(&source, FRAMES, &variant, &chaos, DEPTH)
+        .try_run_stream(&source, FRAMES, &variant, &chaos, 1)
         .expect("valid configuration");
 
     let matches_reference = check_against_reference(&frames, &baseline);
@@ -87,7 +86,6 @@ fn main() -> std::io::Result<()> {
     json.push_str("  \"schema\": \"grtx-fault-v1\",\n");
     json.push_str(&format!("  \"seed\": {SEED},\n"));
     json.push_str(&format!("  \"frames\": {FRAMES},\n"));
-    json.push_str(&format!("  \"depth\": {DEPTH},\n"));
     json.push_str("  \"counters\": {\n");
     json.push_str(&format!(
         "    \"injected\": {},\n    \"retries\": {},\n    \"frames_failed\": {}\n  }},\n",

@@ -33,11 +33,11 @@ fn main() -> std::io::Result<()> {
         ..Default::default()
     };
     // Jitter every 2nd frame so the profiled launches span both rebuilt
-    // and reused structures; depth 3 exercises the task-graph path the
-    // profiler must stay order-independent under.
+    // and reused structures; 4 threads spread each frame's fragments over
+    // a pool the profiler must stay order-independent under.
     let source = setup.jitter_source(0.05, 2);
     let frames = setup
-        .try_run_stream(&source, 6, &PipelineVariant::grtx(), &options, 3)
+        .try_run_stream(&source, 6, &PipelineVariant::grtx(), &options, 1)
         .unwrap();
     assert_eq!(frames.len(), 6, "stream must deliver every frame");
 

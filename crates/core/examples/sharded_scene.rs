@@ -7,7 +7,7 @@
 //! cargo run --release --example sharded_scene
 //! ```
 
-use grtx::{format_bytes, LayoutConfig, PipelineVariant, RunOptions, SceneSetup};
+use grtx::{format_bytes, LayoutConfig, PipelineVariant, RunOptions, SceneSetup, ShardedAccel};
 use grtx_scene::SceneKind;
 use std::time::Instant;
 
@@ -38,7 +38,14 @@ fn main() {
     // Sharded parallel build: 8 spatial shards over all cores.
     let shards = 8;
     let sharded_start = Instant::now();
-    let sharded = setup.build_sharded_accel(&variant, &layout, shards, 0);
+    let sharded = ShardedAccel::build(
+        &setup.scene,
+        variant.primitive,
+        variant.two_level,
+        &layout,
+        shards,
+        0,
+    );
     let sharded_seconds = sharded_start.elapsed().as_secs_f64();
 
     println!(

@@ -9,9 +9,9 @@
 //!
 //! The trace path defaults to `$GRTX_TRACE`, then `trace.json`; the
 //! report lands next to it as `<stem>.report.json`. The stream is the
-//! acceptance configuration: depth 3 (full update ∥ build ∥ render
-//! overlap), 4 worker threads, 4 build shards, a jittering scene so the
-//! stream exercises both rebuilds and rebuild skips.
+//! acceptance configuration: 4 worker threads, 4 build shards, a
+//! jittering scene so the stream exercises both rebuilds and rebuild
+//! skips.
 
 use grtx::{PipelineVariant, RunOptions, SceneSetup, Telemetry};
 use grtx_scene::SceneKind;
@@ -36,7 +36,7 @@ fn main() -> std::io::Result<()> {
     // structure, the other half exercises the rebuild-skip path.
     let source = setup.jitter_source(0.05, 2);
     let frames = setup
-        .try_run_stream(&source, 6, &PipelineVariant::grtx(), &options, 3)
+        .try_run_stream(&source, 6, &PipelineVariant::grtx(), &options, 1)
         .unwrap();
     assert_eq!(frames.len(), 6, "stream must deliver every frame");
 

@@ -169,9 +169,9 @@ pub struct RunOptions {
     /// engine and frame pipeline. The default (disabled) handle records
     /// nothing and costs one branch per hook; an enabled one collects
     /// per-(launch, SM) hardware counters, warp timelines, and occupancy
-    /// series on the simulated clock — bit-identical at any thread,
-    /// shard, or pipeline-depth setting, and without changing any
-    /// result. Export via [`Profiler::report`] /
+    /// series on the simulated clock — bit-identical at any thread or
+    /// shard setting, and without changing any result. Export via
+    /// [`Profiler::report`] /
     /// [`Profiler::chrome_trace`] or the `GRTX_PROFILE` helpers in
     /// [`crate::profile`].
     pub profiler: Profiler,
@@ -363,50 +363,6 @@ impl SceneSetup {
         AccelStruct::build(&self.scene, variant.primitive, variant.two_level, layout)
     }
 
-    /// Builds the variant's structure as `shards` spatial shards in
-    /// parallel on `threads` workers (`0` = all cores). The result is
-    /// bit-identical to [`Self::build_accel`] and additionally carries
-    /// per-shard/directory accounting.
-    pub fn build_sharded_accel(
-        &self,
-        variant: &PipelineVariant,
-        layout: &LayoutConfig,
-        shards: usize,
-        threads: usize,
-    ) -> ShardedAccel {
-        ShardedAccel::build(
-            &self.scene,
-            variant.primitive,
-            variant.two_level,
-            layout,
-            shards,
-            threads,
-        )
-    }
-
-    /// [`Self::build_sharded_accel`] with telemetry: build-phase spans
-    /// and the summary's wall-clock fields route through the handle (see
-    /// [`ShardedAccel::build_traced`]). The structure itself is
-    /// bit-identical either way.
-    pub fn build_sharded_accel_traced(
-        &self,
-        variant: &PipelineVariant,
-        layout: &LayoutConfig,
-        shards: usize,
-        threads: usize,
-        telemetry: &Telemetry,
-    ) -> ShardedAccel {
-        ShardedAccel::build_traced(
-            &self.scene,
-            variant.primitive,
-            variant.two_level,
-            layout,
-            shards,
-            threads,
-            telemetry,
-        )
-    }
-
     /// The variant/options-prescribed acceleration-structure layout.
     fn layout(options: &RunOptions) -> LayoutConfig {
         if options.layout_amd {
@@ -476,13 +432,21 @@ impl SceneSetup {
         options: &RunOptions,
         cameras: &[Camera],
     ) -> Result<(), GrtxError> {
-        grtx_render::validate_gpu(&options.gpu)?;
+        self.scaled_gpu(&options.gpu)?;
         grtx_render::validate_render(&Self::render_config(variant, options))?;
         grtx_render::validate_structure(variant.primitive, variant.two_level)?;
         for camera in cameras {
             grtx_render::validate_camera(camera)?;
         }
         self.scene.validate()
+    }
+
+    /// Validates `gpu` as the caller gave it, then scales its caches by
+    /// this setup's divisor — the one GPU every run, batch, and stream
+    /// of this setup simulates.
+    fn scaled_gpu(&self, gpu: &GpuConfig) -> Result<GpuConfig, GrtxError> {
+        grtx_render::validate_gpu(gpu)?;
+        Ok(gpu.clone().with_cache_scale(self.divisor))
     }
 
     /// Runs one full simulated render of the evaluation camera for
@@ -542,8 +506,10 @@ impl SceneSetup {
         }
         let layout = Self::layout(options);
         if options.shards > 0 {
-            let sharded = self.build_sharded_accel_traced(
-                variant,
+            let sharded = ShardedAccel::build_traced(
+                &self.scene,
+                variant.primitive,
+                variant.two_level,
                 &layout,
                 options.shards,
                 options.threads,
@@ -573,7 +539,7 @@ impl SceneSetup {
         cameras: &[Camera],
     ) -> Result<Vec<ExperimentResult>, GrtxError> {
         let config = Self::render_config(variant, options);
-        let gpu = options.gpu.clone().with_cache_scale(self.divisor);
+        let gpu = self.scaled_gpu(&options.gpu)?;
         let effects = self.effects(options);
         let reports = RenderEngine::new(gpu)
             .with_threads(options.threads)
@@ -606,23 +572,21 @@ impl SceneSetup {
         &self,
         variant: &PipelineVariant,
         options: &RunOptions,
-        depth: usize,
-    ) -> StreamConfig {
-        StreamConfig {
-            depth,
+    ) -> Result<StreamConfig, GrtxError> {
+        Ok(StreamConfig {
             threads: options.threads,
             shards: options.shards,
             primitive: variant.primitive,
             two_level: variant.two_level,
             layout: Self::layout(options),
             render: Self::render_config(variant, options),
-            gpu: options.gpu.clone().with_cache_scale(self.divisor),
+            gpu: self.scaled_gpu(&options.gpu)?,
             effects: self.effects(options),
             telemetry: options.telemetry.clone(),
             profiler: options.profiler.clone(),
             faults: options.faults.clone(),
             retry: options.retry,
-        }
+        })
     }
 
     /// Converts a pipeline frame outcome into a [`StreamFrame`].
@@ -650,43 +614,40 @@ impl SceneSetup {
         }
     }
 
-    /// Runs `frames` frames of `source` through the async frame pipeline
-    /// (`grtx-pipeline`): scene update, acceleration-structure build
-    /// (sharded per [`RunOptions::shards`], skipped when the source
-    /// reports the scene unchanged), and batched rendering overlap
-    /// across up to `depth` frames in flight on
-    /// [`RunOptions::threads`] workers.
+    /// Runs `frames` frames of `source` through the frame pipeline
+    /// (`grtx-pipeline`): frames run one at a time, in order — scene
+    /// update, acceleration-structure build (sharded per
+    /// [`RunOptions::shards`] on all [`RunOptions::threads`], skipped
+    /// when the source reports the scene unchanged), then the frame's
+    /// fragments over [`RunOptions::threads`] workers.
     ///
     /// Frames arrive in strict frame order, and every frame's images,
     /// cycles, and statistics are **bit-identical** to a sequential
     /// per-frame [`Self::try_run_batch`] of the same scene and cameras —
-    /// at any depth, thread count, and shard count. Every depth runs on
-    /// the pipeline's one task-graph executor: `depth ≤ 1` keeps one
-    /// frame in flight; `depth = 3` reaches the full update(N+2) ∥
-    /// build(N+1) ∥ render(N) overlap.
+    /// at any thread count and shard count.
+    ///
+    /// `_depth` is ignored: frames run one at a time, in order. It stays
+    /// in the signature only for existing callers.
     ///
     /// An invalid configuration returns a typed [`GrtxError`] before any
-    /// frame starts. A frame with an invalid camera or scene (or a
-    /// sceneless frame 0) comes back [`StreamFrame::Failed`] under every
-    /// retry policy, and frames reusing its scene fail as
-    /// [`GrtxError::DependencyFailed`].
+    /// frame starts — the same GPU checks [`Self::try_run`] applies. A
+    /// frame with an invalid camera or scene (or a sceneless frame 0)
+    /// comes back [`StreamFrame::Failed`] under every retry policy, and
+    /// frames reusing its scene fail as [`GrtxError::DependencyFailed`].
     /// Under a quarantining [`RunOptions::retry`] policy, frames whose
-    /// stage tasks exhaust their attempts come back as
-    /// [`StreamFrame::Failed`] — in frame order, while unaffected frames
-    /// keep rendering, bit-identical to a fault-free run.
+    /// steps exhaust their attempts come back as [`StreamFrame::Failed`]
+    /// — in frame order, while unaffected frames keep rendering,
+    /// bit-identical to a fault-free run.
     pub fn try_run_stream(
         &self,
         source: &dyn FrameSource,
         frames: usize,
         variant: &PipelineVariant,
         options: &RunOptions,
-        depth: usize,
+        _depth: usize,
     ) -> Result<Vec<StreamFrame>, GrtxError> {
-        let outcomes = grtx_pipeline::try_run_stream(
-            source,
-            frames,
-            &self.stream_config(variant, options, depth),
-        )?;
+        let outcomes =
+            grtx_pipeline::try_run_stream(source, frames, &self.stream_config(variant, options)?)?;
         Ok(outcomes
             .into_iter()
             .map(|outcome| self.stream_frame(outcome))

@@ -49,10 +49,12 @@
 //! # Ok::<(), grtx::GrtxError>(())
 //! ```
 //!
-//! Streams of frames run through the async frame pipeline
-//! (`grtx-pipeline`), overlapping scene update, structure build, and
-//! rendering across frames — bit-identical to per-frame batches at any
-//! pipeline depth:
+//! Streams of frames run through the frame pipeline (`grtx-pipeline`):
+//! one frame at a time, in order — scene update, structure build (or
+//! reuse when the scene is unchanged), then rendering — with the
+//! parallelism inside each build and render, bit-identical to per-frame
+//! batches at any thread and shard count. The last argument is ignored:
+//! frames run one at a time, in order.
 //!
 //! ```
 //! use grtx::{PipelineVariant, RunOptions, SceneSetup};
@@ -61,7 +63,7 @@
 //! let setup = SceneSetup::evaluation(SceneKind::Train, 2000, 32, 42);
 //! let source = setup.orbit_source(2, 0.3);
 //! let options = RunOptions::default();
-//! let frames = setup.try_run_stream(&source, 3, &PipelineVariant::grtx(), &options, 3)?;
+//! let frames = setup.try_run_stream(&source, 3, &PipelineVariant::grtx(), &options, 1)?;
 //! assert_eq!(frames.len(), 3);
 //! assert!(frames[0].rebuilt() && !frames[1].rebuilt());
 //! # Ok::<(), grtx::GrtxError>(())
@@ -82,7 +84,7 @@
 //!     retry: RetryPolicy::resilient(2),
 //!     ..Default::default()
 //! };
-//! let frames = setup.try_run_stream(&source, 3, &PipelineVariant::grtx(), &options, 3)?;
+//! let frames = setup.try_run_stream(&source, 3, &PipelineVariant::grtx(), &options, 1)?;
 //! assert!(!frames[0].is_failed() && frames[1].is_failed() && !frames[2].is_failed());
 //! # Ok::<(), grtx::GrtxError>(())
 //! ```

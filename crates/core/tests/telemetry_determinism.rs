@@ -1,6 +1,6 @@
 //! Telemetry must be a pure observer: every image, cycle count, and
 //! statistic is bit-identical with telemetry on or off, across the
-//! batched engine and the frame pipeline at every depth/thread/shard
+//! batched engine and the frame pipeline at every thread/shard
 //! combination — and two identical traced runs produce structurally
 //! identical reports (same span tree and counts; wall-clock fields
 //! exempt).
@@ -76,35 +76,29 @@ fn render_batch_is_bit_identical_with_telemetry_on() {
 fn run_stream_is_bit_identical_with_telemetry_on() {
     let setup = tiny_setup();
     let variant = PipelineVariant::grtx();
-    for depth in [1, 3] {
-        for threads in [1, 4] {
-            for shards in [1, 4] {
-                let off = RunOptions {
-                    k: 8,
-                    threads,
-                    shards,
-                    ..Default::default()
-                };
-                let on = RunOptions {
-                    telemetry: Telemetry::enabled(),
-                    ..off.clone()
-                };
-                let what = format!("run_stream depth={depth} threads={threads} shards={shards}");
-                let source = setup.jitter_source(0.05, 2);
-                let plain = setup
-                    .try_run_stream(&source, 4, &variant, &off, depth)
-                    .unwrap();
-                let traced = setup
-                    .try_run_stream(&source, 4, &variant, &on, depth)
-                    .unwrap();
-                assert_eq!(plain.len(), traced.len(), "{what}: frame count");
-                for (fa, fb) in plain.iter().zip(&traced) {
-                    assert_eq!(fa.index(), fb.index(), "{what}: frame order");
-                    assert_eq!(fa.rebuilt(), fb.rebuilt(), "{what}: rebuild decisions");
-                    assert_eq!(fa.results().len(), fb.results().len());
-                    for (a, b) in fa.results().iter().zip(fb.results()) {
-                        assert_results_identical(a, b, &what);
-                    }
+    for threads in [1, 4] {
+        for shards in [1, 4] {
+            let off = RunOptions {
+                k: 8,
+                threads,
+                shards,
+                ..Default::default()
+            };
+            let on = RunOptions {
+                telemetry: Telemetry::enabled(),
+                ..off.clone()
+            };
+            let what = format!("run_stream threads={threads} shards={shards}");
+            let source = setup.jitter_source(0.05, 2);
+            let plain = setup.try_run_stream(&source, 4, &variant, &off, 1).unwrap();
+            let traced = setup.try_run_stream(&source, 4, &variant, &on, 1).unwrap();
+            assert_eq!(plain.len(), traced.len(), "{what}: frame count");
+            for (fa, fb) in plain.iter().zip(&traced) {
+                assert_eq!(fa.index(), fb.index(), "{what}: frame order");
+                assert_eq!(fa.rebuilt(), fb.rebuilt(), "{what}: rebuild decisions");
+                assert_eq!(fa.results().len(), fb.results().len());
+                for (a, b) in fa.results().iter().zip(fb.results()) {
+                    assert_results_identical(a, b, &what);
                 }
             }
         }
@@ -148,7 +142,6 @@ fn identical_traced_runs_report_identical_structure() {
         "counter:pipeline.frames",
         "span:pipeline.fragment",
         "histogram:pipeline.frame_latency_us",
-        "histogram:pipeline.handoff.build_depth",
     ] {
         assert!(keys.iter().any(|k| k == expected), "missing {expected}");
     }

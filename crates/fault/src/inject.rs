@@ -53,7 +53,7 @@ pub struct FaultRecord {
 
 /// Every injection an injector performed, in canonical
 /// `(site, key, unit, attempt)` order — identical for the same plan and
-/// workload at any thread count, pipeline depth, or shard count.
+/// workload at any thread count or shard count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultLog {
     /// The sorted records.

@@ -16,7 +16,7 @@
 //!    of a stage task then succeed; permanent faults fail every attempt.
 //!    Every injection is recorded in a [`FaultLog`] whose canonical order
 //!    is schedule-independent: the same plan produces the same log at
-//!    any thread count, depth, or shard count.
+//!    any thread count or shard count.
 //! 3. **[`RetryPolicy`]** — how the pipeline responds to a panicking
 //!    stage task. The default (`max_attempts: 1`, no quarantine) is
 //!    exactly the legacy poison-everything behavior; a resilient policy

@@ -202,11 +202,6 @@ impl Mat4 {
         self.linear().mul_vec3(p) + self.translation()
     }
 
-    /// Transforms a direction (w = 0).
-    pub fn transform_vector(&self, v: Vec3) -> Vec3 {
-        self.linear().mul_vec3(v)
-    }
-
     /// Matrix product `self * other`.
     pub fn mul_mat4(&self, other: &Self) -> Self {
         let mul_vec4 =

@@ -92,11 +92,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean length (cheaper than [`Vec3::length`]).
-    pub fn length_squared(self) -> f32 {
-        self.dot(self)
-    }
-
     /// Returns this vector scaled to unit length.
     ///
     /// # Panics

@@ -1,33 +1,31 @@
 #![forbid(unsafe_code)]
 
-//! Frame-stream pipeline: overlapped scene update, acceleration-structure
-//! rebuild, and batched rendering.
+//! Frame-stream pipeline: scene update, acceleration-structure rebuild,
+//! and batched rendering for streams of frames.
 //!
 //! The paper's workload is not one frame — it is *streams* of frames
-//! (animated scenes, orbiting cameras) in which scene generation, BVH
-//! construction, and ray-traced rendering each occupy a different part
-//! of the machine. This crate keeps all three busy at once:
+//! (animated scenes, orbiting cameras) that each need a scene, a
+//! structure, and a ray-traced render. This crate runs them:
 //!
 //! * [`FrameSource`] describes the stream — per-frame scene mutation
 //!   (or reuse) and camera paths — with ready-made [`OrbitSource`]
 //!   (static scene, orbiting rig) and [`JitterSource`] (animated scene)
 //!   scenario generators;
-//! * [`try_run_stream`] drives a three-stage graph — **update** (produce
-//!   frame N+2's scene/cameras) → **build** (frame N+1's sharded
-//!   structure, reusing the previous one when the scene is unchanged) →
-//!   **render** (frame N's `cameras × SMs` fragment fan-out) — over one
-//!   scoped worker pool that steals across stages, with bounded
-//!   double-buffered stage handoffs. It is the only executor:
-//!   [`StreamConfig::depth`] ≤ 1 runs the same graph one frame at a
-//!   time.
+//! * [`try_run_stream`] runs the frames one at a time, in order:
+//!   **update** (produce the frame's scene and cameras, plan its
+//!   launches) → **build** (the sharded structure on all threads, or the
+//!   previous one reused when the scene is unchanged) → **render** (the
+//!   frame's `cameras × SMs` fragments over one scoped pool, merged in
+//!   fixed `(camera, SM)` order). The parallelism lives inside the build
+//!   and the render; frames never overlap.
 //!
 //! # Determinism contract
 //!
 //! Frames come back as [`FrameOutcome`]s in strict frame order, and every
 //! rendered frame's images, cycles, and statistics are **bit-identical** to
-//! building and batch-rendering each frame on its own — at any pipeline
-//! depth, any thread count, and any shard count. Overlap changes wall-clock time only.
-//! The scheduler details and the proof sketch live in [`stream`].
+//! building and batch-rendering each frame on its own — at any thread
+//! count and any shard count. Threads change wall-clock time only.
+//! The executor details live in [`stream`].
 //!
 //! # Faults and graceful degradation
 //!

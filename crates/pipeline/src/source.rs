@@ -6,9 +6,8 @@
 //! reuse the previous acceleration structure) and the cameras to render
 //! it with. Sources must be **pure**: `frame(n)` depends only on `n` and
 //! the source's construction, never on call order or count. That is
-//! what lets the pipeline's update stage run ahead of the frames being
-//! rendered, and what makes pipelined output bit-identical to a
-//! sequential per-frame run.
+//! what makes pipelined output bit-identical to a sequential per-frame
+//! run.
 
 use grtx_math::Vec3;
 use grtx_scene::{Camera, GaussianScene};
@@ -29,8 +28,9 @@ pub struct FrameSpec {
 
 /// A deterministic stream of frames.
 ///
-/// `Sync` because the pipeline's update stage calls `frame` from worker
-/// threads (always in frame order, exactly once per rendered frame).
+/// `Sync` because the pipeline shares it with each frame's fragment
+/// workers. The update step calls `frame` on the calling thread, in
+/// frame order, once per update attempt.
 pub trait FrameSource: Sync {
     /// Produces frame `index`'s scene and cameras.
     ///

@@ -1,6 +1,6 @@
 //! The failure-path determinism contract: the same seed-scattered
 //! `FaultPlan` produces the same `FaultLog` — and the same per-frame
-//! outcomes — at any thread count and any pipeline depth, and recovered
+//! outcomes — at any thread count, and recovered
 //! transient-fault streams are bit-identical to fault-free runs.
 
 use grtx_fault::{
@@ -30,11 +30,10 @@ fn source() -> JitterSource {
     JitterSource::with_period(scene, vec![camera], 0.15, 2)
 }
 
-fn run_scattered(seed: u64, threads: usize, depth: usize) -> (Vec<FrameOutcome>, FaultLog) {
+fn run_scattered(seed: u64, threads: usize) -> (Vec<FrameOutcome>, FaultLog) {
     let plan = FaultPlan::scatter(seed, &FaultSite::INJECTABLE, FRAMES as u64, 400, 1);
     let injector = FaultInjector::with_plan(plan);
     let config = StreamConfig {
-        depth,
         threads,
         faults: injector.clone(),
         retry: RetryPolicy::resilient(3),
@@ -71,30 +70,26 @@ fn assert_outcomes_identical(label: &str, a: &[FrameOutcome], b: &[FrameOutcome]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Same seed → same `FaultLog` and same outcomes, across the
-    /// threads × depth grid: the probe set never depends on the
-    /// schedule.
+    /// Same seed → same `FaultLog` and same outcomes, at every thread
+    /// count: the probe set never depends on the schedule.
     #[test]
     fn fault_log_is_schedule_independent(seed in 0u64..512) {
         silence_injected_panics();
-        let (reference_outcomes, reference_log) = run_scattered(seed, 1, 1);
-        for depth in [1usize, 3] {
-            for threads in [1usize, 4] {
-                let (outcomes, log) = run_scattered(seed, threads, depth);
-                prop_assert_eq!(
-                    &log,
-                    &reference_log,
-                    "seed {} depth {} threads {}: fault log diverged",
-                    seed,
-                    depth,
-                    threads
-                );
-                assert_outcomes_identical(
-                    &format!("seed {seed} depth {depth} threads {threads}"),
-                    &outcomes,
-                    &reference_outcomes,
-                );
-            }
+        let (reference_outcomes, reference_log) = run_scattered(seed, 1);
+        for threads in [1usize, 4] {
+            let (outcomes, log) = run_scattered(seed, threads);
+            prop_assert_eq!(
+                &log,
+                &reference_log,
+                "seed {} threads {}: fault log diverged",
+                seed,
+                threads
+            );
+            assert_outcomes_identical(
+                &format!("seed {seed} threads {threads}"),
+                &outcomes,
+                &reference_outcomes,
+            );
         }
     }
 }
@@ -110,33 +105,29 @@ fn recovered_streams_match_fault_free_runs() {
         .transient(FaultSite::Build, 2, 2)
         .transient(FaultSite::Fragment, 1, 1)
         .transient(FaultSite::Merge, 3, 2);
-    for depth in [1usize, 3] {
-        let injector = FaultInjector::with_plan(plan.clone());
-        let faulty = StreamConfig {
-            depth,
-            threads: 2,
-            faults: injector.clone(),
-            retry: RetryPolicy::resilient(3),
-            ..Default::default()
-        };
-        let clean = StreamConfig {
-            depth,
-            threads: 2,
-            retry: RetryPolicy::resilient(3),
-            ..Default::default()
-        };
-        let recovered = try_run_stream(&source(), FRAMES, &faulty).expect("valid configuration");
-        let baseline = try_run_stream(&source(), FRAMES, &clean).expect("valid configuration");
-        assert!(
-            recovered.iter().all(|o| !o.is_failed()),
-            "depth {depth}: transient faults within the retry budget must recover"
-        );
-        assert_outcomes_identical(&format!("depth {depth}"), &recovered, &baseline);
-        let log = injector.log();
-        assert!(
-            log.count_for(FaultSite::Build) >= 2,
-            "depth {depth}: the frame-2 build fault fails twice before succeeding"
-        );
-        assert!(log.count_for(FaultSite::Merge) >= 2, "depth {depth}");
-    }
+    let injector = FaultInjector::with_plan(plan);
+    let faulty = StreamConfig {
+        threads: 2,
+        faults: injector.clone(),
+        retry: RetryPolicy::resilient(3),
+        ..Default::default()
+    };
+    let clean = StreamConfig {
+        threads: 2,
+        retry: RetryPolicy::resilient(3),
+        ..Default::default()
+    };
+    let recovered = try_run_stream(&source(), FRAMES, &faulty).expect("valid configuration");
+    let baseline = try_run_stream(&source(), FRAMES, &clean).expect("valid configuration");
+    assert!(
+        recovered.iter().all(|o| !o.is_failed()),
+        "transient faults within the retry budget must recover"
+    );
+    assert_outcomes_identical("recovered", &recovered, &baseline);
+    let log = injector.log();
+    assert!(
+        log.count_for(FaultSite::Build) >= 2,
+        "the frame-2 build fault fails twice before succeeding"
+    );
+    assert!(log.count_for(FaultSite::Merge) >= 2);
 }

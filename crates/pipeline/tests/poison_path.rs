@@ -1,8 +1,7 @@
 //! The default-policy poisoning contract, pinned: a stage-task panic
 //! poisons the pipeline, sibling workers drain out without deadlocking,
 //! the *original* panic payload reaches the caller unchanged, and the
-//! process can run fresh streams afterwards — at depth 1 (one frame at a
-//! time) and depth 3 (full overlap) alike.
+//! process can run fresh streams afterwards.
 //!
 //! Everything lives in one `#[test]` because the quiet-hook dance is
 //! process-global.
@@ -54,15 +53,8 @@ impl FrameSource for PanickySource {
 
 #[test]
 fn poisoned_pool_preserves_the_payload_drains_and_recovers() {
-    for depth in [1usize, 3] {
-        poison_drain_and_recover(depth);
-    }
-}
-
-fn poison_drain_and_recover(depth: usize) {
     let scene = train_scene(150);
     let config = StreamConfig {
-        depth,
         threads: 4,
         ..Default::default()
     };
@@ -87,7 +79,6 @@ fn poison_drain_and_recover(depth: usize) {
     //    like any other stage panic — poison, drain, and the typed
     //    `InjectedFault` payload surfaces unchanged.
     let faulty = StreamConfig {
-        depth,
         threads: 4,
         faults: FaultInjector::with_plan(FaultPlan::new().permanent(FaultSite::Build, 1)),
         retry: RetryPolicy::default(),
@@ -101,9 +92,23 @@ fn poison_drain_and_recover(depth: usize) {
         .expect("the injected payload must be preserved");
     assert_eq!(fault.site, FaultSite::Build);
     assert_eq!(fault.key >> 32, 1, "the fault fired on frame 1");
+
+    // 3. The same through the fragment pool: a worker's panic stops its
+    //    siblings claiming, and its payload reaches the caller intact.
+    let faulty = StreamConfig {
+        faults: FaultInjector::with_plan(FaultPlan::new().permanent(FaultSite::Fragment, 1)),
+        ..faulty
+    };
+    let result = std::panic::catch_unwind(|| try_run_stream(&source, 4, &faulty).unwrap());
+    let payload = result.expect_err("a fragment fault must propagate under the default policy");
+    let fault = payload
+        .downcast_ref::<InjectedFault>()
+        .expect("the injected payload must be preserved");
+    assert_eq!(fault.site, FaultSite::Fragment);
+    assert_eq!(fault.key >> 32, 1, "the fault fired on frame 1");
     std::panic::set_hook(hook);
 
-    // 3. The process is healthy afterwards: a fresh stream on a fresh
+    // 4. The process is healthy afterwards: a fresh stream on a fresh
     //    pool runs to completion with every frame rendered.
     let source = OrbitSource::new(scene, base_camera(), 1, 0.3);
     let frames = try_run_stream(&source, 3, &config).unwrap();

@@ -1,8 +1,8 @@
 //! The pipeline's determinism contract at the engine level: frames from
-//! the overlapped scheduler are bit-identical — images, cycles, every
+//! the in-order executor are bit-identical — images, cycles, every
 //! statistic, structure accounting — to building and batch-rendering
-//! each frame on its own, in strict frame order, at any depth, thread
-//! count, and shard count.
+//! each frame on its own, in strict frame order, at any thread count and
+//! shard count.
 
 use grtx_bvh::AccelStruct;
 use grtx_fault::GrtxError;
@@ -13,7 +13,7 @@ use grtx_render::RenderEngine;
 use grtx_scene::synth::generate_scene;
 use grtx_scene::{Camera, CameraModel, SceneKind};
 use grtx_shard::ShardedAccel;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
 
 /// Runs a stream whose every frame must render, unwrapping each outcome.
 fn rendered_stream(
@@ -138,8 +138,8 @@ fn assert_frames_identical(label: &str, a: &[FrameResult], b: &[FrameResult]) {
 }
 
 /// Orbit (rebuild-free) and jitter (rebuild-heavy) streams are
-/// bit-identical to the sequential oracle across the full depth × threads
-/// × shards grid.
+/// bit-identical to the sequential oracle across the threads × shards
+/// grid.
 #[test]
 fn stream_matches_sequential_across_depths_threads_and_shards() {
     let scene = train_scene(400);
@@ -152,27 +152,23 @@ fn stream_matches_sequential_across_depths_threads_and_shards() {
                 source,
                 4,
                 &StreamConfig {
-                    depth: 1,
                     threads: 1,
                     shards,
                     ..Default::default()
                 },
             );
-            for depth in [1usize, 2, 3] {
-                for threads in [1usize, 4] {
-                    let config = StreamConfig {
-                        depth,
-                        threads,
-                        shards,
-                        ..Default::default()
-                    };
-                    let frames = rendered_stream(source, 4, &config);
-                    assert_frames_identical(
-                        &format!("{name}, depth {depth}, threads {threads}, shards {shards}"),
-                        &frames,
-                        &reference,
-                    );
-                }
+            for threads in [1usize, 4] {
+                let config = StreamConfig {
+                    threads,
+                    shards,
+                    ..Default::default()
+                };
+                let frames = rendered_stream(source, 4, &config);
+                assert_frames_identical(
+                    &format!("{name}, threads {threads}, shards {shards}"),
+                    &frames,
+                    &reference,
+                );
             }
         }
     }
@@ -184,7 +180,6 @@ fn stream_matches_sequential_across_depths_threads_and_shards() {
 fn rebuild_flags_follow_the_source() {
     let scene = train_scene(200);
     let config = StreamConfig {
-        depth: 3,
         threads: 2,
         ..Default::default()
     };
@@ -210,7 +205,7 @@ fn rebuild_flags_follow_the_source() {
     );
 }
 
-/// Frames arrive in strict frame order regardless of overlap.
+/// Frames arrive in strict frame order at any thread count.
 #[test]
 fn results_arrive_in_frame_order() {
     let source = OrbitSource::new(train_scene(150), base_camera(), 2, 0.4);
@@ -218,7 +213,6 @@ fn results_arrive_in_frame_order() {
         &source,
         6,
         &StreamConfig {
-            depth: 3,
             threads: 4,
             ..Default::default()
         },
@@ -247,71 +241,87 @@ fn empty_streams_and_camera_less_frames_are_defined() {
             }
         }
     }
-    for depth in [1usize, 3] {
-        let frames = rendered_stream(
-            &NoCameras(scene.clone()),
-            3,
-            &StreamConfig {
-                depth,
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(frames.len(), 3);
-        for frame in &frames {
-            assert!(frame.reports.is_empty());
-            assert!(frame.size.total_bytes > 0);
+    let frames = rendered_stream(
+        &NoCameras(scene),
+        3,
+        &StreamConfig {
+            threads: 2,
+            ..Default::default()
+        },
+    );
+    assert_eq!(frames.len(), 3);
+    for frame in &frames {
+        assert!(frame.reports.is_empty());
+        assert!(frame.size.total_bytes > 0);
+    }
+}
+
+/// A source that allocates a fresh scene every frame (forcing a rebuild
+/// and making retention observable per frame) and asserts, when asked
+/// for frame `n`, that frame `n - bound`'s scene has been dropped.
+struct Tracking {
+    base: Arc<grtx_scene::GaussianScene>,
+    camera: Camera,
+    bound: usize,
+    produced: Mutex<Vec<Weak<grtx_scene::GaussianScene>>>,
+}
+
+impl Tracking {
+    fn new(bound: usize) -> Self {
+        Tracking {
+            base: train_scene(120),
+            camera: base_camera(),
+            bound,
+            produced: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl FrameSource for Tracking {
+    fn frame(&self, index: usize) -> FrameSpec {
+        let mut produced = self.produced.lock().unwrap();
+        assert_eq!(produced.len(), index, "updates run in frame order");
+        if index >= self.bound {
+            assert!(
+                produced[index - self.bound].upgrade().is_none(),
+                "frame {} scene still retained at frame {index}",
+                index - self.bound
+            );
+        }
+        let scene = Arc::new((*self.base).clone());
+        produced.push(Arc::downgrade(&scene));
+        FrameSpec {
+            scene: Some(scene),
+            cameras: vec![self.camera.clone()],
         }
     }
 }
 
 /// Long rebuild-every-frame streams release old frames' scenes (and
-/// with them their structures) as the window advances, instead of
+/// with them their structures) as the stream advances, instead of
 /// retaining every frame to the end of the stream.
-///
-/// The check is deterministic: by the time `update(n)` is claimed, the
-/// scheduler's handoff bounds guarantee frame `n - 6` has merged, its
-/// successor's update has completed, and its successor's build has been
-/// claimed — the three conditions that release a slot.
 #[test]
 fn old_frame_slots_release_their_scenes() {
-    use std::sync::{Mutex, Weak};
-    struct Tracking {
-        base: Arc<grtx_scene::GaussianScene>,
-        camera: Camera,
-        produced: Mutex<Vec<Weak<grtx_scene::GaussianScene>>>,
-    }
-    impl FrameSource for Tracking {
-        fn frame(&self, index: usize) -> FrameSpec {
-            let mut produced = self.produced.lock().unwrap();
-            assert_eq!(produced.len(), index, "updates run in frame order");
-            if index >= 6 {
-                assert!(
-                    produced[index - 6].upgrade().is_none(),
-                    "frame {} scene still retained at frame {index}",
-                    index - 6
-                );
-            }
-            // A fresh allocation every frame forces a rebuild and makes
-            // retention observable per frame.
-            let scene = Arc::new((*self.base).clone());
-            produced.push(Arc::downgrade(&scene));
-            FrameSpec {
-                scene: Some(scene),
-                cameras: vec![self.camera.clone()],
-            }
-        }
-    }
-    let source = Tracking {
-        base: train_scene(120),
-        camera: base_camera(),
-        produced: Mutex::new(Vec::new()),
-    };
     let frames = rendered_stream(
-        &source,
+        &Tracking::new(6),
         10,
         &StreamConfig {
-            depth: 3,
+            threads: 2,
+            ..Default::default()
+        },
+    );
+    assert_eq!(frames.len(), 10);
+}
+
+/// The in-order working set: when frame `n` is produced, only frame
+/// `n - 1`'s scene (which an unchanged frame `n` would reuse) may still
+/// be alive — frame `n - 2`'s is already dropped.
+#[test]
+fn in_order_frames_retain_only_the_previous_scene() {
+    let frames = rendered_stream(
+        &Tracking::new(2),
+        10,
+        &StreamConfig {
             threads: 2,
             ..Default::default()
         },
@@ -336,7 +346,6 @@ fn sceneless_first_frame_fails_with_a_typed_error() {
         &Sceneless,
         2,
         &StreamConfig {
-            depth: 2,
             threads: 2,
             ..Default::default()
         },

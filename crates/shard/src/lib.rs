@@ -26,7 +26,7 @@
 //! this crate's structural tests and by the end-to-end render tests in
 //! the experiment layer.
 //!
-//! The async frame pipeline (`grtx-pipeline`) reuses [`ShardedAccel`]
+//! The frame pipeline (`grtx-pipeline`) reuses [`ShardedAccel`]
 //! as its build stage: every rebuild frame of a stream constructs its
 //! structure through this crate's parallel builder, and the determinism
 //! guarantee above is what lets pipelined frames stay bit-identical to
@@ -38,7 +38,7 @@ pub use accel::{ShardInfo, ShardedAccel, ShardingSummary};
 
 /// Worker threads a parallel phase should actually use: `requested = 0`
 /// means all available cores, clamped to `1..=work_items`.
-pub fn effective_threads(requested: usize, work_items: usize) -> usize {
+pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     let requested = if requested == 0 { hw } else { requested };
     requested.clamp(1, work_items.max(1))

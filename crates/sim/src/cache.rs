@@ -141,12 +141,6 @@ impl Cache {
             self.hits as f64 / self.accesses as f64
         }
     }
-
-    /// Resets counters but keeps contents (for per-phase measurement).
-    pub fn reset_counters(&mut self) {
-        self.accesses = 0;
-        self.hits = 0;
-    }
 }
 
 #[cfg(test)]

@@ -94,27 +94,10 @@ impl GpuSim {
 }
 
 impl SimObserver<'_> {
-    /// Total cycles charged this round.
-    pub fn total_cycles(&self) -> u64 {
-        self.compute_cycles + self.stall_cycles
-    }
-
-    /// Charges shader-side cycles (any-hit sorting, blending, round
-    /// overhead) computed by the renderer.
-    pub fn charge_shader(&mut self, cycles: u64) {
-        self.compute_cycles += cycles;
-    }
-
     /// The cost model in effect (renderers read shader-cost constants
     /// from here).
     pub fn costs(&self) -> &CostModel {
         &self.costs
-    }
-
-    /// Records an eviction-buffer entry write and charges its cost.
-    pub fn eviction_write(&mut self) {
-        self.stats.eviction_writes += 1;
-        self.compute_cycles += self.costs.eviction_entry;
     }
 }
 

@@ -99,7 +99,7 @@ def validate_report(path: str) -> None:
         if not hist["p50"] <= hist["p95"] <= hist["p99"] <= hist["max"]:
             fail(f"histogram percentiles out of order: {hist}")
     hist_names = {h["name"] for h in report["histograms"]}
-    for expected in ("pipeline.frame_latency_us", "pipeline.handoff.build_depth"):
+    for expected in ("pipeline.frame_latency_us",):
         if expected not in hist_names:
             fail(f"report missing expected histogram {expected!r}")
     print(
